@@ -19,6 +19,7 @@ metrics (--trace 1). See perfbench/README.md for what each metric means.
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -36,6 +37,14 @@ NAMED = {
     "serve_mix": ("setup_s", "peak_rss_mib", "p50_ms.low", "p50_ms.high",
                   "max_rate_rps"),
 }
+# Every set-up runs in a fresh process, timed from its start, so no warm
+# state carries over; setup_s is the median of COLD_SETUPS[workload] of
+# them: the measured run's own and the rest from processes that stop after
+# set-up. rollout_16's set-up is tens of ms, so it takes more of them.
+COLD_SETUPS = {"sweep_64": 3, "rollout_16": 9, "serve_mix": 3}
+# The self-test fails on a self-time row below -SELFTIME_EPS x the
+# end-to-end time: the spans and the program's histograms disagree.
+SELFTIME_EPS = 0.05
 RUN_TIMEOUT_S = 170
 
 
@@ -83,6 +92,31 @@ def run_binary(workload, seed, seconds, trace, extra=()):
         return json.load(f)
 
 
+def run_workload(workload, seed, seconds, trace, extra=()):
+    """One measured run; untraced runs also take the cold set-ups and
+    report their median as setup_s."""
+    setups = []
+    if not trace:
+        for _ in range(COLD_SETUPS[workload] - 1):
+            rep = run_binary(workload, seed, seconds, 0, ["--setup-only", "1"])
+            setups.append(e2e_value(rep, "setup_s"))
+    rep = run_binary(workload, seed, seconds, trace, extra)
+    if setups:
+        for m in rep["e2e"]:
+            if m["name"] == "setup_s":
+                setups.append(m["value"])
+                m["value"] = statistics.median(setups)
+                m["samples"] = len(setups)
+    return rep
+
+
+def e2e_value(rep, name):
+    for m in rep["e2e"]:
+        if m["name"] == name:
+            return m["value"]
+    raise KeyError("%s missing from %s report" % (name, rep["workload"]))
+
+
 def load_spec():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         return json.load(f)
@@ -91,11 +125,10 @@ def load_spec():
 def contract_metrics(rep, spec, trace):
     """The metrics object of the result line, in BENCHMARK.json's order."""
     if not trace:
-        named = {m["name"]: m for m in rep["e2e"]}
         values = {
             "throughput": rep["throughput_per_s"],
             "p50_ms": rep["p50_ms"],
-            "setup_s": named["setup_s"]["value"],
+            "setup_s": e2e_value(rep, "setup_s"),
         }
         wanted = spec["end_to_end"]
     else:
@@ -133,6 +166,10 @@ def describe(rep):
             print("    %-20s %10.4f" % (row["name"], row["value"]))
         print("    %-20s %10.4f  (end to end %.4f)"
               % ("sum", total, st["total_ms"]))
+        unattributed = [r["value"] for r in st["rows"]
+                        if r["name"] == "unattributed"][0]
+        print("    unattributed share %.4f"
+              % (unattributed / st["total_ms"] if st["total_ms"] else 0.0))
     for n in rep["notes"]:
         print("  note: " + n)
 
@@ -150,13 +187,14 @@ def result_line(rep, spec, trace):
 def self_test():
     """Each workload once untraced and once traced on short settings:
     checks the result schema, that the seed output has no mismatches, that
-    the self-time rows sum to the end-to-end time, and that a corrupted
-    reference is caught by the output check."""
+    no self-time row (unattributed included) is below -SELFTIME_EPS of the
+    end-to-end time, and that a corrupted reference is caught by the output
+    check."""
     spec = load_spec()
     problems = []
     for w in WORKLOADS:
         for trace in (0, 1):
-            rep = run_binary(w, 7, 1.0, trace)
+            rep = run_workload(w, 7, 1.0, trace)
             line = json.loads(result_line(rep, spec, trace))
             want = spec["per_layer" if trace else "end_to_end"]
             if sorted(line) != ["attempted", "correct", "failed", "metrics"]:
@@ -173,10 +211,11 @@ def self_test():
                                     % (w, sorted(missing)))
             else:
                 st = rep["selftime"]
-                s = sum(r["value"] for r in st["rows"])
-                if abs(s - st["total_ms"]) > 1e-6 * max(1.0, st["total_ms"]):
-                    problems.append("%s: self-time rows sum to %f, not %f"
-                                    % (w, s, st["total_ms"]))
+                for r in st["rows"]:
+                    if r["value"] < -SELFTIME_EPS * st["total_ms"]:
+                        problems.append("%s: self-time row %s is %f ms of %f"
+                                        % (w, r["name"], r["value"],
+                                           st["total_ms"]))
             describe(rep)
     rep = run_binary("rollout_16", 7, 1.0, 0, ["--corrupt-ref", "1"])
     if rep["ops"]["mismatches"] == 0:
@@ -208,9 +247,9 @@ def main():
         spec = load_spec()
         if a.report:
             for w in WORKLOADS:
-                describe(run_binary(w, a.seed, a.seconds, 0))
+                describe(run_workload(w, a.seed, a.seconds, 0))
             return 0
-        rep = run_binary(a.workload, a.seed, a.seconds, a.trace)
+        rep = run_workload(a.workload, a.seed, a.seconds, a.trace)
         describe(rep)
         print(result_line(rep, spec, a.trace), flush=True)
         return 0

@@ -64,13 +64,6 @@ double Samples::mean() const {
   return v_.empty() ? 0.0 : sum() / static_cast<double>(v_.size());
 }
 
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
 bool same_bits(const saufno::Tensor& a, const saufno::Tensor& b) {
   return a.numel() == b.numel() &&
          std::memcmp(a.data(), b.data(),
@@ -287,12 +280,9 @@ void PlanTotals::add_current() {
   }
 }
 
-std::string fallback_note(const std::vector<double>& per_engine) {
-  std::string note = "plan.fallbacks during timed traffic, per engine:";
-  for (double f : per_engine) {
-    note += " " + std::to_string(static_cast<int64_t>(f));
-  }
-  return note;
+std::string fallback_note(double fallbacks) {
+  return "plan.fallbacks during timed traffic: " +
+         std::to_string(static_cast<int64_t>(fallbacks));
 }
 
 void add_trace_overhead(Report& r, double throughput_untraced,
@@ -421,26 +411,33 @@ void add_layer_metrics(Report& r, const LayerInputs& in) {
   // --- self-time table, ms per operation ------------------------------------
   // One operation is a sweep / wave (all of whose batches run one after the
   // other on the batcher) or a request (which rides in one batch). Layer
-  // self time = the layer's time minus what its children cover. Kernels run
-  // concurrently across batch partitions and plan levels, so their summed
-  // time is divided by the plan runs per batch and capped at the forward's
-  // wall time; the forward time they leave uncovered (plan dispatch, and
-  // any partition that did not overlap) has no outside boundary and stays
-  // unattributed.
+  // self time = the layer's time minus what its children cover. Rows are
+  // not floored: a negative row means the outside spans and the program's
+  // histograms disagree, and the self-test fails on it.
+  // Kernels run concurrently across batch partitions and plan levels, so
+  // their summed time is divided by the plan runs per batch; the forward
+  // time they leave uncovered (plan dispatch, and any partition that did
+  // not overlap) has no outside boundary and stays unattributed.
   const bool per_request = in.op_name == "request";
   const double ops = in.ops > 0 ? in.ops : 1.0;
   const double nb = n_batch > 0 ? static_cast<double>(n_batch) : 1.0;
-  // Per-operation share of a per-batch total: a request sees one batch, a
-  // sweep or wave sees all of its batches in sequence.
-  const double per_op = per_request ? 1.0 / nb : 1.0 / ops;
-  const double head_wait = o.hist_sum("queue.head_wait_ms") * per_op;
-  const double fwd = o.hist_sum("engine.forward_ms") * per_op;
-  const double engine_other =
-      std::max(0.0, lat_mean - wait_mean - fwd_mean) * nb * per_op;
-  const double queue = std::max(0.0, head_wait - in.submit_rest_ms);
+  // Batches per operation: a request sees one batch, a sweep or wave sees
+  // all of its batches in sequence.
+  const double batches_per_op = per_request ? 1.0 : nb / ops;
+  const double fwd = fwd_mean * batches_per_op;
+  // The engine records no per-request wait. The head waits longest, so the
+  // head wait bounds a request's wait from above, and so does its engine
+  // latency minus the forward: a batch is charged the tighter bound, and
+  // the engine keeps the rest of its latency.
+  const double wait = std::min(wait_mean, lat_mean - fwd_mean);
+  const double engine_other = (lat_mean - fwd_mean - wait) * batches_per_op;
+  // A sweep or wave is not charged the part of the wait that overlaps the
+  // client's own later submits.
+  const double queue =
+      wait * batches_per_op - (per_request ? 0.0 : in.submit_rest_ms);
   const double runs_per_batch = std::max(1.0, ratio(o.value("plan.runs"), nb));
-  const double kernels = instr_total * 1e-3 * per_op / runs_per_batch;
-  const double k = fwd > 0 ? std::min(1.0, kernels / fwd) : 0.0;
+  const double kernels =
+      instr_total * 1e-3 / nb / runs_per_batch * batches_per_op;
   const double fft_frac = ratio(fft_us, instr_total);
   // plan, runtime.pool and runtime.workspace have no row: their work lies
   // inside the forward, with no boundary to time from outside.
@@ -450,14 +447,14 @@ void add_layer_metrics(Report& r, const LayerInputs& in) {
       {"runtime.rollout", 0.0},
       {"runtime.queue", queue},
       {"runtime.engine", engine_other},
-      {"tensor", fwd * k * (1.0 - fft_frac)},
-      {"fft", fwd * k * fft_frac}};
+      {"tensor", kernels * (1.0 - fft_frac)},
+      {"fft", kernels * fft_frac}};
   double covered = 0.0;
   for (auto& [layer, ms] : rows) {
     // The outermost layer's self time is its span minus the inner rows
     // (for sweep_64 the outer calls enter runtime.engine itself).
     if (layer == in.outer_layer && layer != "runtime.engine") {
-      ms = std::max(0.0, in.outer_ms - (queue + engine_other + fwd));
+      ms = in.outer_ms - (queue + engine_other + fwd);
     }
     covered += ms;
   }

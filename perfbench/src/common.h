@@ -38,6 +38,7 @@ struct Args {
   double seconds = 10.0;
   bool trace = false;
   bool corrupt_ref = false;  // self-test: flip one reference bit
+  bool setup_only = false;   // stop after the set-up; report setup_s only
   std::string out;           // report JSON path
   std::string spans_out;     // span dump path (traced runs)
 };
@@ -55,10 +56,6 @@ class Samples {
  public:
   void add(double v) {
     v_.push_back(v);
-    sorted_ = false;
-  }
-  void merge(const Samples& o) {
-    v_.insert(v_.end(), o.v_.begin(), o.v_.end());
     sorted_ = false;
   }
   std::size_t n() const { return v_.size(); }
@@ -215,8 +212,8 @@ void add_trace_overhead(Report& r, double throughput_untraced,
                         double throughput_traced, double p50_untraced,
                         double p50_traced);
 
-/// "plan.fallbacks during timed traffic: a, b, c" — one count per engine.
-std::string fallback_note(const std::vector<double>& per_engine);
+/// "plan.fallbacks during timed traffic: n".
+std::string fallback_note(double fallbacks);
 
 /// Fill report.layers and report.selftime from `in`.
 void add_layer_metrics(Report& report, const LayerInputs& in);
@@ -238,9 +235,6 @@ bool same_bits(const saufno::Tensor& a, const saufno::Tensor& b);
 /// Flip the lowest bit of a tensor's first element (self-test of the
 /// output check).
 void flip_first_bit(saufno::Tensor& t);
-
-/// Median of a small vector.
-double median(std::vector<double> v);
 
 /// Workload entry points.
 int run_sweep_64(const Args& args, Report& report);

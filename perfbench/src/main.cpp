@@ -4,8 +4,12 @@
 //
 //   perfbench --workload sweep_64|rollout_16|serve_mix --seed N
 //             --seconds S --trace 0|1 --out report.json
-//             [--spans spans.json] [--corrupt-ref 1]
+//             [--spans spans.json] [--corrupt-ref 1] [--setup-only 1]
 //
+// The set-up (model build, engine start, plan compiles, warm-up) is timed
+// from process start. With --setup-only the process stops there and
+// reports only setup_s: run.py starts a few such processes per run so that
+// every set-up it reports is cold.
 // The pool is fixed at `nproc` lanes. Untraced runs measure the end-to-end
 // metrics; traced runs measure the same traffic once untraced and once with
 // benchmark-side spans and kernel profiling on, and report per-layer
@@ -39,6 +43,8 @@ bool parse(int argc, char** argv, perfbench::Args* a) {
       a->spans_out = v;
     } else if (k == "--corrupt-ref") {
       a->corrupt_ref = std::atoi(v) != 0;
+    } else if (k == "--setup-only") {
+      a->setup_only = std::atoi(v) != 0;
     } else {
       return false;
     }
@@ -55,7 +61,8 @@ int main(int argc, char** argv) {
   if (!parse(argc, argv, &args)) {
     std::fprintf(stderr,
                  "usage: perfbench --workload W --seed N --seconds S "
-                 "--trace 0|1 --out PATH [--spans PATH] [--corrupt-ref 1]\n");
+                 "--trace 0|1 --out PATH [--spans PATH] [--corrupt-ref 1] "
+                 "[--setup-only 1]\n");
     return 2;
   }
   saufno::runtime::ThreadPool::instance().resize(lanes());

@@ -28,7 +28,6 @@ using saufno::runtime::RolloutSession;
 constexpr int kSessions = 16;
 constexpr int64_t kSteps = 32;  // steps per episode; then sessions reopen
 constexpr int64_t kRes = 16;
-constexpr int kSetups = 5;      // set-ups per run (each is tens of ms)
 
 struct Trajectory {
   Tensor init;    // [1, H, W] kelvin
@@ -68,12 +67,6 @@ struct Measured {
   Samples wave_ms;
   Samples submit_rest_ms;
   Ops ops;
-  void merge(const Measured& o) {
-    step_ms.merge(o.step_ms);
-    wave_ms.merge(o.wave_ms);
-    submit_rest_ms.merge(o.submit_rest_ms);
-    ops.merge(o.ops);
-  }
 };
 
 /// Run episodes of kSteps lockstep waves until `seconds` have passed (at
@@ -155,48 +148,37 @@ int run_rollout_16(const Args& args, Report& report) {
     t.powers = Tensor::rand_uniform({kSteps, 1, kRes, kRes}, rng, 0.f, 9e4f);
   }
 
-  // Set-up: model build, engine start, plan compile and one warm-up wave;
-  // setup_s is the median over the set-ups, the first timed from process
-  // start. Each set-up builds a fresh model (its own seed, so no cache can
-  // carry over), and its engine then runs an equal share of the timed
-  // waves. The samples are pooled: an engine whose compile hit the
-  // plan-fallback bug moves the medians only if most engines did.
-  std::vector<double> setup_s;
-  std::vector<double> fallbacks;
-  Rollout ro;
+  // Set-up, timed from process start: model build, engine start, plan
+  // compile and one warm-up wave. The timed waves then run on this one
+  // engine, so a compile that hit the plan-fallback bug shows in the
+  // figures (and in plan.fallbacks).
+  Rollout ro = build(args.seed);
   Spans spans;
+  {
+    const Measured warm = measure(*ro.engine, traj, 0.0, 1, false, spans);
+    report.ops.failed += warm.ops.failed;
+  }
+  report.add_e2e("setup_s", ms_between(kProcessStartNs, now_ns()) * 1e-3, "s",
+                 1);
+  if (args.setup_only) return 0;
+
+  // Reference: the offline free-running unroll of each trajectory.
+  for (auto& t : traj) {
+    t.ref = saufno::train::rollout_unroll(*ro.model, norm(), t.init, t.powers);
+  }
+  if (args.corrupt_ref) flip_first_bit(traj[0].ref);
   PlanTotals totals;
   ObsDelta obs;
-  Measured m;
-  const int reps = args.trace ? 1 : kSetups;
-  for (int r = 0; r < reps; ++r) {
-    ro = Rollout{};
-    const int64_t t0 = r == 0 ? kProcessStartNs : now_ns();
-    ro = build(args.seed * 1000 + static_cast<std::uint64_t>(r));
-    Measured warm = measure(*ro.engine, traj, 0.0, 1, false, spans);
-    report.ops.failed += warm.ops.failed;
-    setup_s.push_back(ms_between(t0, now_ns()) * 1e-3);
-
-    // Reference: the offline free-running unroll of each trajectory.
-    for (auto& t : traj) {
-      t.ref =
-          saufno::train::rollout_unroll(*ro.model, norm(), t.init, t.powers);
-    }
-    if (args.corrupt_ref) flip_first_bit(traj[0].ref);
-    totals.add_current();
-    obs.begin();
-    m.merge(measure(*ro.engine, traj, args.seconds / reps, 0, true, spans));
-    obs.take();
-    fallbacks.push_back(obs.value("plan.fallbacks"));
-  }
+  totals.add_current();
+  obs.begin();
+  const Measured m = measure(*ro.engine, traj, args.seconds, 0, true, spans);
+  obs.take();
   report.ops.merge(m.ops);
 
   // Rates are taken at the median wave time, so a stall of the machine
   // during a few waves does not move them.
   const double steps_per_s = kSessions / (m.wave_ms.pct(0.5) * 1e-3);
   const auto n_steps = static_cast<int64_t>(m.step_ms.n());
-  report.add_e2e("setup_s", median(setup_s), "s",
-                 static_cast<int64_t>(setup_s.size()));
   report.add_e2e("steps_per_s", steps_per_s, "session-steps/s", n_steps);
   report.add_e2e("step_p50_ms", m.step_ms.pct(0.5), "ms", n_steps);
   if (m.step_ms.supports(0.99)) {
@@ -206,7 +188,7 @@ int run_rollout_16(const Args& args, Report& report) {
   }
   report.throughput_per_s = steps_per_s;
   report.p50_ms = m.step_ms.pct(0.5);
-  report.notes.push_back(fallback_note(fallbacks));
+  report.notes.push_back(fallback_note(obs.value("plan.fallbacks")));
 
   if (args.trace) {
     totals.add_current();

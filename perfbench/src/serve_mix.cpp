@@ -40,22 +40,20 @@ namespace runtime = saufno::runtime;
 
 // Offered rates lie on one fixed grid, rung(k) = 400 * 1.08^k req/s: `low`
 // is rung 0 (batches of 1-2: per-request overhead shows), `high` is rung 18
-// (1600 req/s: batches form). The capacity ladder climbs the rungs above the
-// better of the two that passed (see run_traffic); max_rate_rps is the
-// median of kClimbs fine climbs' scores.
+// (1598 req/s: batches form). max_rate_rps is the highest rung passed by
+// a ladder that climbs from rung kHighRung; a rung passes by a majority of
+// up to kTrials trials.
 constexpr int kHighRung = 18;
 constexpr int kTopRung = 40;  // 8690 req/s
-constexpr int kClimbs = 4;
+constexpr int kTrials = 5;
 double rung(int k) { return std::round(400.0 * std::pow(1.08, k)); }
-constexpr double kLimitMs = 100.0;        // p99 limit for max_rate_rps
-// A rung lasts for 2000 requests, or 1 s if that is longer, and never for
-// fewer than 1100 requests: a p99 needs ten samples beyond it.
-constexpr double kRungSamples = 2000;
-constexpr double kRungMinSamples = 1100;
+constexpr double kLimitMs = 100.0;  // p99 limit for max_rate_rps
+// A ladder rung offers this many requests on average: a p99 needs ten
+// samples beyond it.
+constexpr double kRungRequests = 1200;
 constexpr int kSmall = 9, kLarge = 3;    // 12x12 : 16x16 templates = 75 : 25
 const char* const kTenants[] = {"hot", "t1", "t2", "t3", "t4"};
 constexpr double kHotShare = 0.8;
-constexpr int kSetups = 3;      // set-ups per run; setup_s is their median
 const char* const kQuotaSpec = "hot=1024,*=256";
 
 struct Service {
@@ -248,20 +246,16 @@ void print_phase(const Phase& p) {
 struct Traffic {
   Phase low, high;
   std::vector<Phase> ladder;
-  std::vector<double> climb_max;  // highest passing rung of each climb
   double max_rate = 0;
   Ops ops;
 };
 
-/// `low` for 15% of the run, `high` for 10%, then the capacity ladder in
-/// the remaining 75%. A scouting climb starts above the better of the two
-/// phases that passed (their rungs are not run again) and goes up every
-/// second rung to its first miss. Then kClimbs fine climbs each start on
-/// the scout's highest passing rung and go up one rung at a time to their
-/// first miss; a fine climb scores its highest passing rung, or the rung
-/// below its start when it passes none. max_rate_rps is the median of the
-/// fine climbs' scores, and 0 when neither `low` nor `high` passed. A climb
-/// also ends when the time is spent.
+/// `low` for 15% of the run and `high` for 10%, then the capacity ladder:
+/// from rung kHighRung up one rung at a time, each rung run until it has
+/// passed or missed a majority of kTrials trials; the ladder stops at the
+/// first rung that misses. max_rate_rps is the highest rung that passed (0
+/// when the first missed). A stall of the machine costs one trial, not the
+/// rung, and the schedule depends on nothing but the trials' outcomes.
 /// `high_obs` (traced runs) brackets the high phase; `totals` then keeps the
 /// plan counters its reset would drop.
 Traffic run_traffic(const Service& svc, const std::vector<Tensor>& templates,
@@ -283,29 +277,20 @@ Traffic run_traffic(const Service& svc, const std::vector<Tensor>& templates,
   if (high_obs) high_obs->take();
   t.ops.merge(t.low.ops);
   t.ops.merge(t.high.ops);
-  int scout = t.high.passed ? kHighRung : t.low.passed ? 0 : -1;
-  if (scout < 0) return t;
-  const int64_t end = now_ns() + static_cast<int64_t>(0.75 * seconds * 1e9);
-  // Run rung k as one ladder phase; false when it missed or time is spent.
-  auto pass = [&](const std::string& name, int k) {
+  constexpr int kMajority = kTrials / 2 + 1;
+  for (int k = kHighRung; k <= kTopRung; ++k) {
     const double rate = rung(k);
-    const double dur = std::max(kRungMinSamples / rate,
-                                std::min(kRungSamples / rate, 1.0));
-    if (now_ns() + static_cast<int64_t>(dur * 1e9) > end) return false;
-    t.ladder.push_back(
-        run_phase(name, rate, dur, server, templates, ref, rng, spans, &op));
-    t.ops.merge(t.ladder.back().ops);
-    return t.ladder.back().passed;
-  };
-  while (scout + 2 <= kTopRung && pass("scout", scout + 2)) scout += 2;
-  for (int c = 0; c < kClimbs && now_ns() < end; ++c) {
-    int top = scout - 1;
-    while (top + 1 <= kTopRung && pass("fine" + std::to_string(c + 1), top + 1)) {
-      ++top;
+    int passes = 0, misses = 0;
+    while (passes < kMajority && misses < kMajority) {
+      t.ladder.push_back(run_phase("rung" + std::to_string(k), rate,
+                                   kRungRequests / rate, server, templates,
+                                   ref, rng, spans, &op));
+      t.ops.merge(t.ladder.back().ops);
+      ++(t.ladder.back().passed ? passes : misses);
     }
-    t.climb_max.push_back(rung(std::max(top, 0)));
+    if (misses == kMajority) break;
+    t.max_rate = rate;
   }
-  t.max_rate = t.climb_max.empty() ? rung(scout) : median(t.climb_max);
   return t;
 }
 
@@ -332,19 +317,12 @@ int run_serve_mix(const Args& args, Report& report) {
     templates.push_back(Tensor::randn({3, res, res}, rng));
   }
 
-  // Set-up: model build, engine + fleet + server start, and a short
-  // open-loop warm-up (0.3 s at each of three rates) that compiles the plans
-  // the traffic needs. Repeated with a fresh model; setup_s is the median.
-  // The last set-up's service carries the timed traffic.
-  std::vector<double> setup_s;
-  Service svc;
+  // Set-up, timed from process start: model build, engine + fleet +
+  // server start, and a short open-loop warm-up (0.3 s at each of three
+  // rates) that compiles the plans the traffic needs.
+  Service svc = build(args.seed);
   Spans spans;
-  const int reps = args.trace ? 1 : kSetups;
-  std::vector<Tensor> ref;
-  for (int r = 0; r < reps; ++r) {
-    svc = Service{};
-    const int64_t t0 = r == 0 ? kProcessStartNs : now_ns();
-    svc = build(args.seed * 1000 + static_cast<std::uint64_t>(r));
+  {
     // Warm-up outputs are not checked (no reference yet); they are only
     // counted when the request fails outright.
     std::vector<Tensor> warm_ref(templates.size());
@@ -359,10 +337,13 @@ int run_serve_mix(const Args& args, Report& report) {
       report.ops.failed += warm.ops.shed + warm.ops.unanswered +
                            (warm.ops.failed - warm.ops.mismatches);
     }
-    setup_s.push_back(ms_between(t0, now_ns()) * 1e-3);
   }
+  report.add_e2e("setup_s", ms_between(kProcessStartNs, now_ns()) * 1e-3, "s",
+                 1);
+  if (args.setup_only) return 0;
 
   // Reference: the interpreter, one request at a time.
+  std::vector<Tensor> ref;
   {
     saufno::plan::PlanRunner interp(svc.model, saufno::plan::Mode::kOff);
     for (const Tensor& t : templates) {
@@ -384,8 +365,6 @@ int run_serve_mix(const Args& args, Report& report) {
   print_phase(tr.high);
   for (const Phase& p : tr.ladder) print_phase(p);
 
-  report.add_e2e("setup_s", median(setup_s), "s",
-                 static_cast<int64_t>(setup_s.size()));
   for (const Phase* p : {&tr.low, &tr.high}) {
     const auto n = static_cast<int64_t>(p->latency_ms.n());
     report.add_e2e("p50_ms." + p->name, p->latency_ms.pct(0.5), "ms", n);
@@ -396,10 +375,10 @@ int run_serve_mix(const Args& args, Report& report) {
     }
   }
   report.add_e2e("max_rate_rps", tr.max_rate, "req/s",
-                 static_cast<int64_t>(tr.climb_max.size()));
+                 static_cast<int64_t>(tr.ladder.size()));
   report.throughput_per_s = tr.max_rate;
   report.p50_ms = tr.low.latency_ms.pct(0.5);
-  report.notes.push_back(fallback_note({obs.value("plan.fallbacks")}));
+  report.notes.push_back(fallback_note(obs.value("plan.fallbacks")));
 
   if (args.trace) {
     totals.add_current();

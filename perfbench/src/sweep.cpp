@@ -27,7 +27,6 @@ constexpr int kMaps = 8;        // maps per sweep = the engine's max_batch
 constexpr int kTemplates = 12;  // distinct input maps; a sweep draws 8
 constexpr int64_t kRes = 64;
 constexpr int kMinSweeps = 20;  // a p50 needs ten samples beyond it
-constexpr int kSetups = 3;      // set-ups per run; setup_s is their median
 
 struct Sweep {
   std::shared_ptr<saufno::nn::Module> model;
@@ -110,11 +109,6 @@ struct Measured {
   Samples sweep_ms;
   Samples submit_rest_ms;
   Ops ops;
-  void merge(const Measured& o) {
-    sweep_ms.merge(o.sweep_ms);
-    submit_rest_ms.merge(o.submit_rest_ms);
-    ops.merge(o.ops);
-  }
 };
 
 /// Sweeps for `seconds`, and at least `min_sweeps` of them.
@@ -157,50 +151,38 @@ int run_sweep_64(const Args& args, Report& report) {
     templates.push_back(Tensor::randn({3, kRes, kRes}, input_rng));
   }
 
-  // Set-up: model build, engine start, plan compile (first forward) and one
-  // warm-up sweep; setup_s is the median over the set-ups, the first timed
-  // from process start. Each set-up builds a fresh model (its own seed, so
-  // no cache can carry over), and its engine then serves an equal share of
-  // the timed sweeps. The samples are pooled: an engine whose compile hit
-  // the plan-fallback bug moves the medians only if most engines did.
-  std::vector<double> setup_s;
-  std::vector<double> fallbacks;
-  Sweep sweep;
-  std::vector<Tensor> ref;
+  // Set-up, timed from process start: model build, engine start, plan
+  // compile (first forward) and one warm-up sweep. The timed sweeps then
+  // run on this one engine, so a compile that hit the plan-fallback bug
+  // shows in the figures (and in plan.fallbacks).
+  Sweep sweep = build(args.seed);
   Spans spans;
-  Rng warm_rng(args.seed ^ 0x3a3aULL);
-  PlanTotals totals;
-  ObsDelta obs;
-  Measured m;
-  const int reps = args.trace ? 1 : kSetups;
-  for (int r = 0; r < reps; ++r) {
-    sweep = Sweep{};  // release the previous engine before building anew
-    const int64_t t0 = r == 0 ? kProcessStartNs : now_ns();
-    sweep = build(args.seed * 1000 + static_cast<std::uint64_t>(r));
+  {
+    Rng warm_rng(args.seed ^ 0x3a3aULL);
     double rest = 0.0;
     Ops warm_ops;
     (void)run_one(*sweep.engine, templates, nullptr, draw(warm_rng), spans, -1,
                   warm_ops, &rest);
-    setup_s.push_back(ms_between(t0, now_ns()) * 1e-3);
     report.ops.failed += warm_ops.failed;
-
-    ref = reference(sweep, templates, args.corrupt_ref);
-    totals.add_current();
-    obs.begin();
-    m.merge(measure(*sweep.engine, templates, ref,
-                    args.seed + static_cast<std::uint64_t>(r),
-                    args.seconds / reps, (kMinSweeps + reps - 1) / reps,
-                    spans));
-    obs.take();
-    fallbacks.push_back(obs.value("plan.fallbacks"));
   }
+  report.add_e2e("setup_s", ms_between(kProcessStartNs, now_ns()) * 1e-3, "s",
+                 1);
+  if (args.setup_only) return 0;
+
+  const std::vector<Tensor> ref =
+      reference(sweep, templates, args.corrupt_ref);
+  PlanTotals totals;
+  ObsDelta obs;
+  totals.add_current();
+  obs.begin();
+  const Measured m = measure(*sweep.engine, templates, ref, args.seed,
+                             args.seconds, kMinSweeps, spans);
+  obs.take();
   report.ops.merge(m.ops);
 
   // Rates are taken at the median sweep time, so a stall of the machine
   // during a few sweeps does not move them.
   const double maps_per_s = kMaps / (m.sweep_ms.pct(0.5) * 1e-3);
-  report.add_e2e("setup_s", median(setup_s), "s",
-                 static_cast<int64_t>(setup_s.size()));
   report.add_e2e("maps_per_s", maps_per_s, "maps/s",
                  static_cast<int64_t>(m.sweep_ms.n()));
   report.add_e2e("sweep_p50_ms", m.sweep_ms.pct(0.5), "ms",
@@ -208,7 +190,7 @@ int run_sweep_64(const Args& args, Report& report) {
   report.throughput_per_s = maps_per_s;
   report.p50_ms = m.sweep_ms.pct(0.5);
   if (!m.sweep_ms.supports(0.5)) report.notes.push_back("too few sweeps for p50");
-  report.notes.push_back(fallback_note(fallbacks));
+  report.notes.push_back(fallback_note(obs.value("plan.fallbacks")));
 
   if (args.trace) {
     totals.add_current();
