@@ -35,13 +35,14 @@ NAMED = {
     "sweep_64": ("setup_s", "peak_rss_mib", "maps_per_s", "sweep_p50_ms"),
     "rollout_16": ("setup_s", "peak_rss_mib", "steps_per_s", "step_p50_ms"),
     "serve_mix": ("setup_s", "peak_rss_mib", "p50_ms.low", "p50_ms.high",
-                  "max_rate_rps"),
+                  "p50_ms.single", "burst_rps", "max_rate_rps"),
 }
 # Every set-up runs in a fresh process, timed from its start, so no warm
 # state carries over; setup_s is the median of COLD_SETUPS[workload] of
 # them: the measured run's own and the rest from processes that stop after
-# set-up. rollout_16's set-up is tens of ms, so it takes more of them.
-COLD_SETUPS = {"sweep_64": 3, "rollout_16": 9, "serve_mix": 3}
+# set-up. rollout_16's set-up is tens of ms, so it takes more of them;
+# sweep_64's is ~6 s, so it takes fewer.
+COLD_SETUPS = {"sweep_64": 2, "rollout_16": 9, "serve_mix": 3}
 # The self-test fails on a self-time row below -SELFTIME_EPS x the
 # end-to-end time: the spans and the program's histograms disagree.
 SELFTIME_EPS = 0.05
@@ -230,7 +231,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float, default=15.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--report", action="store_true",
                     help="run every workload untraced and print its metrics")

@@ -10,6 +10,7 @@
 
 #include "common/json_writer.h"
 #include "plan/runner.h"
+#include "runtime/thread_pool.h"
 
 namespace perfbench {
 
@@ -17,15 +18,34 @@ using saufno::JsonWriter;
 
 const int64_t kProcessStartNs = now_ns();
 
-int lanes() {
+namespace {
+
+// The CPUs the process was started on, read before any thread is pinned.
+cpu_set_t initial_cpus() {
   cpu_set_t set;
   CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    const int n = CPU_COUNT(&set);
-    if (n > 0) return n;
-  }
-  return 1;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) CPU_ZERO(&set);
+  return set;
 }
+const cpu_set_t kInitialCpus = initial_cpus();
+
+}  // namespace
+
+int lanes_for(const std::string& workload) {
+  const int cpus = std::max(1, CPU_COUNT(&kInitialCpus));
+  return std::min(cpus, workload == "sweep_64" ? 2 : 1);
+}
+
+void pin_current_thread(int n) {
+  cpu_set_t first;
+  CPU_ZERO(&first);
+  for (int cpu = 0; cpu < CPU_SETSIZE && CPU_COUNT(&first) < n; ++cpu) {
+    if (CPU_ISSET(cpu, &kInitialCpus)) CPU_SET(cpu, &first);
+  }
+  if (CPU_COUNT(&first) > 0) sched_setaffinity(0, sizeof(first), &first);
+}
+
+int lanes() { return saufno::runtime::ThreadPool::instance().num_threads(); }
 
 double peak_rss_mib() {
   struct rusage ru;

@@ -43,8 +43,19 @@ struct Args {
   std::string spans_out;     // span dump path (traced runs)
 };
 
-/// CPUs this process may run on (what `nproc` prints): the pool lane count
-/// and the generator's thread + connection budget.
+/// Pool lanes, and CPUs, a workload runs with: 2 for sweep_64 and 1 for
+/// rollout_16 and serve_mix, at most the CPUs the process started with
+/// (what `nproc` prints). On a shared host, a process
+/// that kept every vCPU busy measured the host's load more than the
+/// program: its vCPUs were descheduled, and each parallel region of a
+/// forward waits for its slowest lane. See perfbench/README.md.
+int lanes_for(const std::string& workload);
+
+/// Pins the calling thread, and every thread it starts later, to the first
+/// `n` CPUs the process started with.
+void pin_current_thread(int n);
+
+/// The pool's current lane count.
 int lanes();
 
 /// Peak resident set size of this process so far, in MiB.

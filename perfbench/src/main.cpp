@@ -10,8 +10,9 @@
 // from process start. With --setup-only the process stops there and
 // reports only setup_s: run.py starts a few such processes per run so that
 // every set-up it reports is cold.
-// The pool is fixed at `nproc` lanes. Untraced runs measure the end-to-end
-// metrics; traced runs measure the same traffic once untraced and once with
+// The pool's lanes, and the CPUs the run is pinned to, are fixed per
+// workload (lanes_for). Untraced runs measure the end-to-end metrics;
+// traced runs measure the same traffic once untraced and once with
 // benchmark-side spans and kernel profiling on, and report per-layer
 // metrics, the self-time table and the tracing overhead.
 #include <cstdio>
@@ -65,7 +66,10 @@ int main(int argc, char** argv) {
                  "[--setup-only 1]\n");
     return 2;
   }
-  saufno::runtime::ThreadPool::instance().resize(lanes());
+  // Every thread of the run, the pool's included, stays on the workload's
+  // CPUs.
+  pin_current_thread(lanes_for(args.workload));
+  saufno::runtime::ThreadPool::instance().resize(lanes_for(args.workload));
 
   Report report;
   report.workload = args.workload;

@@ -1,13 +1,15 @@
 // serve_mix: online serving over TCP loopback. An in-process serve::Server
 // and Fleet serve SAU-FNO-micro; single requests arrive open-loop as a
 // Poisson process (75% 12x12, 25% 16x16; 80% from a hot tenant under a
-// quota spec) at two fixed rates, `low` and `high`, then up a fixed rate
-// ladder for max_rate_rps. Each request is timed from when it was due.
+// quota spec) at two fixed rates, `low` and `high`. Then closed loops
+// measure the latency of a single request in flight (p50_ms.single) and
+// the rate of bursts of 16 (burst_rps), and a fixed rate ladder
+// max_rate_rps. Each open-loop request is timed from when it was due.
 //
-// The generator is one process with 2 threads (the sender, which is the
-// calling thread, and a receiver) and 1 connection per phase: 3 in total,
-// within the nproc = 4 budget. Rates are absolute numbers fixed here, never
-// derived from a probe of the code under test.
+// The generator is one process with at most 2 threads (the sender, which is
+// the calling thread, and a receiver) and 1 connection per phase: 3 in
+// total, within the nproc = 4 budget. Rates are absolute numbers fixed
+// here, never derived from a probe of the code under test.
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -38,16 +40,16 @@ using saufno::Tensor;
 namespace serve = saufno::serve;
 namespace runtime = saufno::runtime;
 
-// Offered rates lie on one fixed grid, rung(k) = 400 * 1.08^k req/s: `low`
-// is rung 0 (batches of 1-2: per-request overhead shows), `high` is rung 18
-// (1598 req/s: batches form). max_rate_rps is the highest rung passed by
-// a ladder that climbs from rung kHighRung; a rung passes by a majority of
-// up to kTrials trials.
+// Offered rates lie on one fixed grid, rung(k) = 200 * 1.08^k req/s: `low`
+// is rung 0 (200 req/s: batches of 1-2, per-request overhead shows),
+// `high` is rung 18 (799 req/s: batches form). max_rate_rps is the highest
+// rung passed by one climb from rung kHighRung, one trial per rung.
 constexpr int kHighRung = 18;
-constexpr int kTopRung = 40;  // 8690 req/s
-constexpr int kTrials = 5;
-double rung(int k) { return std::round(400.0 * std::pow(1.08, k)); }
+constexpr int kTopRung = 40;  // 4345 req/s
+double rung(int k) { return std::round(200.0 * std::pow(1.08, k)); }
 constexpr double kLimitMs = 100.0;  // p99 limit for max_rate_rps
+// burst_rps sends closed-loop bursts of this many requests: one full batch.
+constexpr int kBurst = 16;
 // A ladder rung offers this many requests on average: a p99 needs ten
 // samples beyond it.
 constexpr double kRungRequests = 1200;
@@ -92,7 +94,36 @@ struct Phase {
   double backlog = 0;  // requests in flight when the last one was sent
   bool growing = false;
   bool passed = false;
+  Samples burst_ms;    // closed loop: time per burst
 };
+
+int pick_template(Rng& rng) {
+  return rng.uniform() < 0.75 ? static_cast<int>(rng.next_below(kSmall))
+                              : kSmall + static_cast<int>(rng.next_below(kLarge));
+}
+
+int pick_tenant(Rng& rng) {
+  return rng.uniform() < kHotShare ? 0
+                                   : 1 + static_cast<int>(rng.next_below(4));
+}
+
+/// Counts one response into `ops`; true when it is ok and bit-identical to
+/// `want`.
+bool check_response(const serve::Response& r, const Tensor& want, Ops& ops) {
+  if (r.code == serve::WireCode::kOk) {
+    if (r.has_tensor && same_bits(r.tensor, want)) {
+      ++ops.ok;
+      return true;
+    }
+    ++ops.mismatches;
+    ++ops.failed;
+  } else if (r.code == serve::WireCode::kOverloaded) {
+    ++ops.shed;
+  } else {
+    ++ops.failed;
+  }
+  return false;
+}
 
 /// One open-loop phase: a seeded Poisson schedule of `seconds` at `rate`,
 /// sent over a fresh connection; every response is checked bit for bit.
@@ -112,12 +143,8 @@ Phase run_phase(const std::string& name, double rate, double seconds,
     t += -std::log(u) / rate;
     if (t >= seconds) break;
     due.push_back(start + static_cast<int64_t>(t * 1e9));
-    tmpl.push_back(rng.uniform() < 0.75
-                       ? static_cast<int>(rng.next_below(kSmall))
-                       : kSmall + static_cast<int>(rng.next_below(kLarge)));
-    tenant.push_back(rng.uniform() < kHotShare
-                         ? 0
-                         : 1 + static_cast<int>(rng.next_below(4)));
+    tmpl.push_back(pick_template(rng));
+    tenant.push_back(pick_tenant(rng));
   }
   const std::size_t n = due.size();
   const int64_t op0 = *op_base;
@@ -148,22 +175,16 @@ Phase run_phase(const std::string& name, double rate, double seconds,
         const std::size_t idx = static_cast<std::size_t>(r.id - 1);
         if (idx >= n) {
           ++ph.ops.failed;
-        } else if (r.code == serve::WireCode::kOk) {
-          const int64_t s = sent[idx].load(std::memory_order_relaxed);
-          ph.rtt_ms.add(ms_between(s, t));
-          if (r.has_tensor &&
-              same_bits(r.tensor, ref[static_cast<std::size_t>(tmpl[idx])])) {
-            ++ph.ops.ok;
+        } else {
+          if (r.code == serve::WireCode::kOk) {
+            const int64_t s = sent[idx].load(std::memory_order_relaxed);
+            ph.rtt_ms.add(ms_between(s, t));
+          }
+          if (check_response(r, ref[static_cast<std::size_t>(tmpl[idx])],
+                             ph.ops)) {
             ph.latency_ms.add(ms_between(due[idx], t));
             answered[idx] = t;
-          } else {
-            ++ph.ops.mismatches;
-            ++ph.ops.failed;
           }
-        } else if (r.code == serve::WireCode::kOverloaded) {
-          ++ph.ops.shed;
-        } else {
-          ++ph.ops.failed;
         }
         received.fetch_add(1);
       }
@@ -232,6 +253,60 @@ Phase run_phase(const std::string& name, double rate, double seconds,
   return ph;
 }
 
+/// Closed loop on one connection from the calling thread alone: bursts of
+/// `depth` requests, each sent once the previous burst is answered, for
+/// `seconds`. Every response is checked bit for bit. latency_ms holds the ok
+/// requests' send -> response times (a closed loop sends a request when it
+/// is due) and burst_ms each burst's time.
+Phase run_closed(const std::string& name, int depth, double seconds,
+                 serve::Server& server, const std::vector<Tensor>& templates,
+                 const std::vector<Tensor>& ref, Rng& rng) {
+  Phase ph;
+  ph.name = name;
+  serve::Client c;
+  try {
+    c.connect("127.0.0.1", server.port());
+  } catch (const std::exception&) {
+    ph.ops.attempted = ph.ops.unanswered = 1;
+    return ph;
+  }
+  std::vector<int> tmpl;
+  std::vector<int64_t> sent;
+  int64_t received = 0;
+  const int64_t end = now_ns() + static_cast<int64_t>(seconds * 1e9);
+  try {
+    while (now_ns() < end) {
+      const int64_t b0 = now_ns();
+      for (int i = 0; i < depth; ++i) {
+        tmpl.push_back(pick_template(rng));
+        const int tenant = pick_tenant(rng);
+        sent.push_back(now_ns());
+        c.send_infer(templates[static_cast<std::size_t>(tmpl.back())], "",
+                     kTenants[tenant]);
+      }
+      for (int i = 0; i < depth; ++i) {
+        const serve::Response r = c.recv_response();
+        const int64_t t = now_ns();
+        ++received;
+        const std::size_t idx = static_cast<std::size_t>(r.id - 1);
+        if (idx >= tmpl.size()) {
+          ++ph.ops.failed;
+        } else if (check_response(r, ref[static_cast<std::size_t>(tmpl[idx])],
+                                  ph.ops)) {
+          ph.latency_ms.add(ms_between(sent[idx], t));
+        }
+      }
+      ph.burst_ms.add(ms_between(b0, now_ns()));
+    }
+  } catch (const std::exception&) {
+    // Connection lost: whatever is still outstanding counts as unanswered.
+  }
+  c.close();
+  ph.ops.attempted = static_cast<int64_t>(tmpl.size());
+  ph.ops.unanswered = ph.ops.attempted - received;
+  return ph;
+}
+
 void print_phase(const Phase& p) {
   std::fprintf(stderr,
                "  %-6s %6.0f req/s  n=%-6zu p50 %7.2f ms  p99 %7.2f ms  "
@@ -244,18 +319,20 @@ void print_phase(const Phase& p) {
 }
 
 struct Traffic {
-  Phase low, high;
+  Phase low, high, single, closed;
   std::vector<Phase> ladder;
+  double burst_rps = 0;
   double max_rate = 0;
   Ops ops;
 };
 
-/// `low` for 15% of the run and `high` for 10%, then the capacity ladder:
-/// from rung kHighRung up one rung at a time, each rung run until it has
-/// passed or missed a majority of kTrials trials; the ladder stops at the
-/// first rung that misses. max_rate_rps is the highest rung that passed (0
-/// when the first missed). A stall of the machine costs one trial, not the
-/// rung, and the schedule depends on nothing but the trials' outcomes.
+/// `low` for 25% of the run and `high` for 15%; closed loops of single
+/// requests for 15% and of kBurst-request bursts for 20%; then the rate
+/// ladder: from rung kHighRung up one rung at a time, one trial per rung,
+/// stopping at the first rung that misses. burst_rps is kBurst over the
+/// median burst time; max_rate_rps is the highest rung that passed (0 when
+/// the first missed). The ladder's schedule depends on nothing but the
+/// trials' outcomes.
 /// `high_obs` (traced runs) brackets the high phase; `totals` then keeps the
 /// plan counters its reset would drop.
 Traffic run_traffic(const Service& svc, const std::vector<Tensor>& templates,
@@ -266,29 +343,30 @@ Traffic run_traffic(const Service& svc, const std::vector<Tensor>& templates,
   Rng rng(seed ^ 0x7a11ULL);
   serve::Server& server = *svc.server;
   int64_t op = 0;
-  t.low = run_phase("low", rung(0), 0.15 * seconds, server, templates, ref,
+  t.low = run_phase("low", rung(0), 0.25 * seconds, server, templates, ref,
                     rng, spans, &op);
   if (high_obs) {
     totals->add_current();
     high_obs->begin();
   }
-  t.high = run_phase("high", rung(kHighRung), 0.10 * seconds, server,
+  t.high = run_phase("high", rung(kHighRung), 0.15 * seconds, server,
                      templates, ref, rng, spans, &op);
   if (high_obs) high_obs->take();
-  t.ops.merge(t.low.ops);
-  t.ops.merge(t.high.ops);
-  constexpr int kMajority = kTrials / 2 + 1;
+  t.single = run_closed("single", 1, 0.15 * seconds, server, templates, ref,
+                        rng);
+  t.closed = run_closed("burst", kBurst, 0.20 * seconds, server, templates,
+                        ref, rng);
+  t.burst_rps = kBurst / (t.closed.burst_ms.pct(0.5) * 1e-3);
+  for (const Phase* p : {&t.low, &t.high, &t.single, &t.closed}) {
+    t.ops.merge(p->ops);
+  }
   for (int k = kHighRung; k <= kTopRung; ++k) {
     const double rate = rung(k);
-    int passes = 0, misses = 0;
-    while (passes < kMajority && misses < kMajority) {
-      t.ladder.push_back(run_phase("rung" + std::to_string(k), rate,
-                                   kRungRequests / rate, server, templates,
-                                   ref, rng, spans, &op));
-      t.ops.merge(t.ladder.back().ops);
-      ++(t.ladder.back().passed ? passes : misses);
-    }
-    if (misses == kMajority) break;
+    t.ladder.push_back(run_phase("rung" + std::to_string(k), rate,
+                                 kRungRequests / rate, server, templates, ref,
+                                 rng, spans, &op));
+    t.ops.merge(t.ladder.back().ops);
+    if (!t.ladder.back().passed) break;
     t.max_rate = rate;
   }
   return t;
@@ -318,8 +396,8 @@ int run_serve_mix(const Args& args, Report& report) {
   }
 
   // Set-up, timed from process start: model build, engine + fleet +
-  // server start, and a short open-loop warm-up (0.3 s at each of three
-  // rates) that compiles the plans the traffic needs.
+  // server start, and a short warm-up (0.3 s at `low`, at `high` and in the
+  // closed loop) that compiles the plans the traffic needs.
   Service svc = build(args.seed);
   Spans spans;
   {
@@ -331,11 +409,16 @@ int run_serve_mix(const Args& args, Report& report) {
     }
     Rng warm_rng(args.seed ^ 0xa3a3ULL);
     int64_t op = 0;
-    for (double rate : {rung(0), rung(kHighRung), rung(26)}) {
-      Phase warm = run_phase("warm", rate, 0.3, *svc.server, templates,
-                             warm_ref, warm_rng, spans, &op);
-      report.ops.failed += warm.ops.shed + warm.ops.unanswered +
-                           (warm.ops.failed - warm.ops.mismatches);
+    std::vector<Phase> warm;
+    for (double rate : {rung(0), rung(kHighRung)}) {
+      warm.push_back(run_phase("warm", rate, 0.3, *svc.server, templates,
+                               warm_ref, warm_rng, spans, &op));
+    }
+    warm.push_back(run_closed("warm", kBurst, 0.3, *svc.server, templates,
+                              warm_ref, warm_rng));
+    for (const Phase& w : warm) {
+      report.ops.failed += w.ops.shed + w.ops.unanswered +
+                           (w.ops.failed - w.ops.mismatches);
     }
   }
   report.add_e2e("setup_s", ms_between(kProcessStartNs, now_ns()) * 1e-3, "s",
@@ -363,9 +446,13 @@ int run_serve_mix(const Args& args, Report& report) {
   std::fprintf(stderr, "serve_mix:\n");
   print_phase(tr.low);
   print_phase(tr.high);
+  std::fprintf(stderr, "  single 1 in flight: p50 %.3f ms over %zu requests\n",
+               tr.single.latency_ms.pct(0.5), tr.single.latency_ms.n());
+  std::fprintf(stderr, "  burst  %d in flight: %.1f req/s over %zu bursts\n",
+               kBurst, tr.burst_rps, tr.closed.burst_ms.n());
   for (const Phase& p : tr.ladder) print_phase(p);
 
-  for (const Phase* p : {&tr.low, &tr.high}) {
+  for (const Phase* p : {&tr.low, &tr.high, &tr.single}) {
     const auto n = static_cast<int64_t>(p->latency_ms.n());
     report.add_e2e("p50_ms." + p->name, p->latency_ms.pct(0.5), "ms", n);
     if (p->latency_ms.supports(0.99)) {
@@ -374,10 +461,12 @@ int run_serve_mix(const Args& args, Report& report) {
       report.notes.push_back("too few samples for p99 at " + p->name);
     }
   }
+  report.add_e2e("burst_rps", tr.burst_rps, "req/s",
+                 static_cast<int64_t>(tr.closed.burst_ms.n()));
   report.add_e2e("max_rate_rps", tr.max_rate, "req/s",
                  static_cast<int64_t>(tr.ladder.size()));
-  report.throughput_per_s = tr.max_rate;
-  report.p50_ms = tr.low.latency_ms.pct(0.5);
+  report.throughput_per_s = tr.burst_rps;
+  report.p50_ms = tr.single.latency_ms.pct(0.5);
   report.notes.push_back(fallback_note(obs.value("plan.fallbacks")));
 
   if (args.trace) {
@@ -391,8 +480,9 @@ int run_serve_mix(const Args& args, Report& report) {
     saufno::obs::force_profile_kernels(false);
     totals.add_current();
     report.ops.merge(t.ops);
-    add_trace_overhead(report, tr.max_rate, t.max_rate,
-                       tr.low.latency_ms.pct(0.5), t.low.latency_ms.pct(0.5));
+    add_trace_overhead(report, tr.burst_rps, t.burst_rps,
+                       tr.single.latency_ms.pct(0.5),
+                       t.single.latency_ms.pct(0.5));
 
     Rng probe_rng(args.seed ^ 0x9e37ULL);
     const PlanProbe probe =

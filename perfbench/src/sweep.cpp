@@ -27,6 +27,10 @@ constexpr int kMaps = 8;        // maps per sweep = the engine's max_batch
 constexpr int kTemplates = 12;  // distinct input maps; a sweep draws 8
 constexpr int64_t kRes = 64;
 constexpr int kMinSweeps = 20;  // a p50 needs ten samples beyond it
+// A traced run measures two passes and probes the plan, at about 2 s per
+// sweep or forward on 2 lanes; fewer of each keep it within 180 s. Its
+// figures are per-layer metrics, not gated.
+constexpr int kTracedMinSweeps = 10;
 
 struct Sweep {
   std::shared_ptr<saufno::nn::Module> model;
@@ -175,8 +179,9 @@ int run_sweep_64(const Args& args, Report& report) {
   ObsDelta obs;
   totals.add_current();
   obs.begin();
+  const int min_sweeps = args.trace ? kTracedMinSweeps : kMinSweeps;
   const Measured m = measure(*sweep.engine, templates, ref, args.seed,
-                             args.seconds, kMinSweeps, spans);
+                             args.seconds, min_sweeps, spans);
   obs.take();
   report.ops.merge(m.ops);
 
@@ -198,7 +203,7 @@ int run_sweep_64(const Args& args, Report& report) {
     saufno::obs::force_profile_kernels(true);
     spans.enable(true);
     Measured t = measure(*sweep.engine, templates, ref, args.seed,
-                         args.seconds, kMinSweeps, spans);
+                         args.seconds, min_sweeps, spans);
     spans.enable(false);
     saufno::obs::force_profile_kernels(false);
     obs.take();
@@ -214,7 +219,7 @@ int run_sweep_64(const Args& args, Report& report) {
       rows.push_back(templates[static_cast<std::size_t>(i)].reshape({1, 3, kRes, kRes}));
     }
     const PlanProbe probe =
-        probe_plan(sweep.model, saufno::cat(rows, 0), kMinSweeps);
+        probe_plan(sweep.model, saufno::cat(rows, 0), min_sweeps);
 
     LayerInputs in;
     in.obs = &obs;
