@@ -138,12 +138,12 @@ void fft_2d(cfloat* x, int64_t batch, int64_t h, int64_t w, bool inverse) {
   obs::KernelTimer prof_timer(prof_hist, "fft.fft_2d");
   SAUFNO_FAULT_POINT("fft");
   // Two parallel seams: batch (outer) and rows/column-tiles within a plane
-  // (nested, decomposes onto the pool when lanes are free — see
-  // parallel_for.h). Every line/tile is transformed independently and the
-  // nested grains depend only on the shape, so results stay bit-identical
-  // for any thread count. With many small planes the outer grain batches
-  // them and the inner loops collapse to single inline chunks; a lone big
-  // plane splits across its rows instead. Plans are fetched once, outside
+  // (nested: inline inside an outer chunk, spread over the pool when the
+  // outer loop is a single chunk — see parallel_for.h). Every line/tile is
+  // transformed independently and the nested grains depend only on the
+  // shape, so results stay bit-identical for any thread count. With many
+  // small planes the outer loop spreads and the inner loops run inline; a
+  // lone big plane splits across its rows instead. Plans are fetched once, outside
   // the per-line loops, so the cache mutex is off the hot path.
   const auto pw = get_plan(w);
   const auto ph = get_plan(h);
@@ -274,10 +274,10 @@ void rfft_3d(const float* x, cfloat* out, int64_t batch, int64_t d, int64_t h,
   const auto ph = get_plan(h);
   const auto pd = get_plan(d);
   const int64_t cvol = d * h * wk;  // compact volume
-  // Outer seam: volumes. Nested seams (decompose when lanes are free): the
-  // d*h real rows, then per-slice h-column passes, then the pruned depth
-  // rows. All grains depend only on the shape, so bit-identity holds at
-  // every thread count.
+  // Outer seam: volumes. Nested seams (spread over the pool only when the
+  // outer loop is a single chunk): the d*h real rows, then per-slice
+  // h-column passes, then the pruned depth rows. All grains depend only on
+  // the shape, so bit-identity holds at every thread count.
   runtime::parallel_for(0, batch, 1, [&](int64_t b0, int64_t b1) {
     for (int64_t b = b0; b < b1; ++b) {
       const float* in = x + b * d * h * w;

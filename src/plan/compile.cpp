@@ -216,50 +216,28 @@ Plan compile(Plan p) {
     p.instrs = std::move(live);
   }
 
-  // -- Pass 5: level assignment ---------------------------------------------
-  // Inputs/params/consts sit at level 0; an instruction runs one level past
-  // its deepest producer. Trace order is topological, and every transform
-  // above preserves that, so one forward sweep suffices.
-  int32_t max_level = 0;
+  // -- Pass 5: liveness + arena packing -------------------------------------
+  // Liveness is tracked over instruction indices: a slot is live from the
+  // instruction that defines it through the last one that reads it. The
+  // executor runs instructions in order, so two temps whose ranges are
+  // disjoint are never alive at once and may share bytes. An instruction's
+  // inputs and output overlap at its own index, so no kernel ever writes
+  // over an operand it is still reading.
   {
-    std::vector<int32_t> def_level(n_slots, 0);
-    for (auto& ins : p.instrs) {
-      int32_t lvl = 1;
-      for (int32_t s : ins.in) {
-        lvl = std::max(lvl,
-                       def_level[static_cast<std::size_t>(root_of(p, s))] + 1);
-      }
-      ins.level = lvl;
-      def_level[static_cast<std::size_t>(ins.out)] = lvl;
-      p.slots[static_cast<std::size_t>(ins.out)].def_level = lvl;
-      max_level = std::max(max_level, lvl);
-    }
-    p.levels.assign(static_cast<std::size_t>(max_level), {});
-    for (std::size_t i = 0; i < p.instrs.size(); ++i) {
-      p.levels[static_cast<std::size_t>(p.instrs[i].level - 1)].push_back(
-          static_cast<int32_t>(i));
-    }
-  }
-
-  // -- Pass 6: liveness + arena packing -------------------------------------
-  // Liveness is tracked at LEVEL granularity: a slot is live from its
-  // defining level through the last level that reads it, so two
-  // instructions sharing a level (which may run concurrently) can never be
-  // assigned overlapping bytes.
-  {
+    std::vector<int32_t> def(n_slots, 0);
     std::vector<int32_t> last(n_slots, 0);
-    for (const auto& ins : p.instrs) {
-      last[static_cast<std::size_t>(ins.out)] =
-          p.slots[static_cast<std::size_t>(ins.out)].def_level;
-    }
-    for (const auto& ins : p.instrs) {
+    for (std::size_t i = 0; i < p.instrs.size(); ++i) {
+      const Instr& ins = p.instrs[i];
+      const auto idx = static_cast<int32_t>(i);
+      def[static_cast<std::size_t>(ins.out)] = idx;
+      last[static_cast<std::size_t>(ins.out)] = idx;
       for (int32_t s : ins.in) {
         auto r = static_cast<std::size_t>(root_of(p, s));
-        last[r] = std::max(last[r], ins.level);
+        last[r] = std::max(last[r], idx);
       }
     }
-    // The output root is read after the last level (the executor clones it
-    // into the result), so it may never be overwritten.
+    // The output root is read after the last instruction (the executor
+    // clones it into the result), so it may never be overwritten.
     last[static_cast<std::size_t>(root_of(p, p.output_slot))] = INT32_MAX;
 
     struct Placed {
@@ -269,17 +247,15 @@ Plan compile(Plan p) {
     std::vector<Placed> placed;
     p.arena_floats = 0;
     for (const auto& ins : p.instrs) {
-      Slot& sl = p.slots[static_cast<std::size_t>(ins.out)];
+      const auto o = static_cast<std::size_t>(ins.out);
+      Slot& sl = p.slots[o];
       if (sl.kind != SlotKind::kTemp || sl.alias_of >= 0) continue;
-      sl.last_use_level = last[static_cast<std::size_t>(ins.out)];
       // 16-float (64-byte) granules keep every slot cache-line aligned
       // inside the reservation.
       const int64_t size = (numel_of(sl.shape) + 15) & ~int64_t{15};
       std::vector<Placed> overlapping;
       for (const Placed& q : placed) {
-        if (q.def <= sl.last_use_level && sl.def_level <= q.last) {
-          overlapping.push_back(q);
-        }
+        if (q.def <= last[o] && def[o] <= q.last) overlapping.push_back(q);
       }
       std::sort(overlapping.begin(), overlapping.end(),
                 [](const Placed& a, const Placed& b) { return a.off < b.off; });
@@ -289,7 +265,7 @@ Plan compile(Plan p) {
         cand = std::max(cand, q.end);
       }
       sl.arena_offset = cand;
-      placed.push_back({cand, cand + size, sl.def_level, sl.last_use_level});
+      placed.push_back({cand, cand + size, def[o], last[o]});
       p.arena_floats = std::max(p.arena_floats, cand + size);
     }
   }

@@ -21,10 +21,8 @@ namespace plan {
 ///     becomes kScaledSoftmax. Only float-exact fusions are performed, so
 ///     the bit-identity contract survives.
 ///  4. Dead-code elimination of instructions orphaned by 1–3.
-///  5. Level assignment — instruction dependency depths, grouped into
-///     Plan::levels; instructions sharing a level are independent and may
-///     run concurrently.
-///  6. Workspace planning — liveness analysis at level granularity, then
+///  5. Workspace planning — liveness analysis over instruction indices (the
+///     executor runs the instructions in order, one at a time), then
 ///     first-fit packing of every temp slot into ONE arena reservation
 ///     (Plan::arena_floats), offsets 16-float aligned.
 ///

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -13,8 +12,6 @@
 #include "common/logging.h"
 #include "obs/kernel_profile.h"
 #include "obs/metrics.h"
-#include "runtime/parallel_for.h"
-#include "runtime/task_group.h"
 #include "tensor/tensor_ops.h"
 
 namespace saufno {
@@ -147,8 +144,7 @@ int32_t root_of(const Plan& p, int32_t s) {
   return s;
 }
 
-void exec_instr(const Plan& p, std::vector<Tensor>& slots, int32_t idx) {
-  const Instr& ins = p.instrs[static_cast<std::size_t>(idx)];
+void exec_instr(const Instr& ins, std::vector<Tensor>& slots) {
   KernelFn fn = kernel_table()[static_cast<std::size_t>(ins.op)];
   SAUFNO_CHECK(fn != nullptr,
                std::string("plan: no kernel registered for ") +
@@ -247,35 +243,9 @@ Tensor PlanExecutor::run(const Tensor& input) {
         input.reshape(p.slots[static_cast<std::size_t>(s)].shape);
   }
 
-  for (const auto& level : p.levels) {
-    if (level.size() == 1) {
-      exec_instr(p, b->slots, level[0]);
-    } else {
-      // Instructions inside one level are independent by construction and
-      // their temp slots occupy disjoint arena bytes (liveness intervals
-      // both contain this level), so they can run concurrently. Each
-      // instruction is one TaskGroup task; a kernel that parallelizes
-      // internally decomposes its own parallel_for onto the pool too
-      // (intra-op x inter-op), so a level with one heavy op and several
-      // light ones doesn't serialize the heavy op on a single lane. Every
-      // kernel is individually bit-deterministic and writes disjoint slots,
-      // so scheduling order cannot change the output.
-      runtime::TaskGroup g;
-      std::vector<Tensor>* slots = &b->slots;
-      const Plan* plan = plan_.get();
-      for (std::size_t i = 1; i < level.size(); ++i) {
-        const int32_t idx = level[i];
-        g.run([plan, slots, idx] { exec_instr(*plan, *slots, idx); });
-      }
-      // First instruction runs on the calling thread; wait() then helps
-      // with whatever is still queued.
-      {
-        const int32_t idx = level[0];
-        exec_instr(*plan, *slots, idx);
-      }
-      g.wait();
-    }
-  }
+  // Instructions run in order, one at a time; a kernel spreads its own
+  // parallel_for over the pool. The arena packing relies on this order.
+  for (const Instr& ins : p.instrs) exec_instr(ins, b->slots);
 
   Tensor result =
       b->slots[static_cast<std::size_t>(p.output_slot)].clone();

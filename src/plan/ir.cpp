@@ -57,7 +57,7 @@ std::string to_string(const Plan& p) {
   std::ostringstream os;
   os << "plan " << shape_str(p.in_shape) << " -> " << shape_str(p.out_shape)
      << ": " << p.instrs.size() << " instrs, " << p.slots.size()
-     << " slots, " << p.levels.size() << " levels, arena "
+     << " slots, arena "
      << p.arena_floats * sizeof(float) / 1024 << " KiB, fused "
      << p.fused_ops << ", folded " << p.folded_ops << "\n";
   auto slot_str = [&](int32_t s) {
@@ -70,7 +70,7 @@ std::string to_string(const Plan& p) {
   };
   for (std::size_t i = 0; i < p.instrs.size(); ++i) {
     const Instr& ins = p.instrs[i];
-    os << "  [L" << ins.level << "] " << slot_str(ins.out) << " = "
+    os << "  [" << i << "] " << slot_str(ins.out) << " = "
        << op_name(ins.op);
     if (ins.act != Act::kNone) os << "+" << act_name(ins.act);
     os << "(";

@@ -84,14 +84,9 @@ struct Slot {
   /// (same storage, different shape); -1 for a root slot.
   int32_t alias_of = -1;
   /// Float offset of a root kTemp slot inside the plan's arena reservation
-  /// (filled by the workspace-planning pass); -1 until assigned.
+  /// (filled by the workspace-planning pass); -1 until assigned. Two temps
+  /// share bytes only if their instruction-index live ranges are disjoint.
   int64_t arena_offset = -1;
-  /// Liveness at LEVEL granularity (see Instr::level): [def, last_use].
-  /// Level intervals are what the arena packer keeps disjoint, so two
-  /// instructions running concurrently inside one level can never share
-  /// bytes.
-  int32_t def_level = 0;
-  int32_t last_use_level = 0;
 };
 
 struct Instr {
@@ -104,10 +99,6 @@ struct Instr {
   /// Module scope path recorded by the tracer ("layers.0/unet"), for
   /// debugging dumps and per-instruction profiling.
   std::string label;
-  /// Dependency depth: 1 + max(level of producing instrs of inputs), with
-  /// plan inputs/params/consts at level 0. Instructions sharing a level are
-  /// independent and may run concurrently.
-  int32_t level = 0;
 };
 
 struct Plan {
@@ -117,8 +108,6 @@ struct Plan {
   int32_t output_slot = -1;
   Shape in_shape;
   Shape out_shape;
-  /// Instruction indices grouped by level, in level order (compiler-built).
-  std::vector<std::vector<int32_t>> levels;
   /// Total floats of the single per-plan arena reservation.
   int64_t arena_floats = 0;
   // Compile statistics (reported by benches / asserted by tests).

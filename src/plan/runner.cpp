@@ -70,44 +70,38 @@ std::shared_ptr<PlanExecutor> PlanRunner::compile_shape(const Shape& shape) {
     return std::chrono::duration<double, std::milli>(b - a).count();
   };
   const auto t0 = std::chrono::steady_clock::now();
-  try {
-    NoGradGuard no_grad;
-    // Trace on a zero probe: the plan depends only on shapes, and the
-    // recorded kernels never branch on values.
-    Var in{Tensor(shape)};
-    TraceSession sess(model_->named_parameters(), in);
-    Var out = model_->forward(in);
-    const auto t_traced = std::chrono::steady_clock::now();
-    if (!sess.ok()) {
-      SAUFNO_WARN << "plan: falling back to interpreter for shape "
-                  << shape_str(shape) << ": " << sess.error();
-      return nullptr;
-    }
-    Plan lowered = sess.take_plan(out);
-    const auto t_lowered = std::chrono::steady_clock::now();
-    Plan compiled = compile(std::move(lowered));
-    const auto t1 = std::chrono::steady_clock::now();
-
-    CompileBreakdown bd;
-    bd.trace_ms = ms_since(t0, t_traced);
-    bd.lower_ms = ms_since(t_traced, t_lowered);
-    bd.passes_ms = ms_since(t_lowered, t1);
-    bd.total_ms = ms_since(t0, t1);
-    RunnerMetrics& rm = runner_metrics();
-    rm.compile_ms.record(bd.total_ms);
-    rm.compile_trace_ms.record(bd.trace_ms);
-    rm.compile_lower_ms.record(bd.lower_ms);
-    rm.compile_passes_ms.record(bd.passes_ms);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      last_breakdown_ = bd;
-    }
-    return std::make_shared<PlanExecutor>(std::move(compiled));
-  } catch (const std::exception& e) {
-    SAUFNO_WARN << "plan: compile failed for shape " << shape_str(shape)
-                << " (interpreting instead): " << e.what();
+  NoGradGuard no_grad;
+  // Trace on a zero probe: the plan depends only on shapes, and the
+  // recorded kernels never branch on values.
+  Var in{Tensor(shape)};
+  TraceSession sess(model_->named_parameters(), in);
+  Var out = model_->forward(in);
+  const auto t_traced = std::chrono::steady_clock::now();
+  if (!sess.ok()) {
+    SAUFNO_WARN << "plan: falling back to interpreter for shape "
+                << shape_str(shape) << ": " << sess.error();
     return nullptr;
   }
+  Plan lowered = sess.take_plan(out);
+  const auto t_lowered = std::chrono::steady_clock::now();
+  Plan compiled = compile(std::move(lowered));
+  const auto t1 = std::chrono::steady_clock::now();
+
+  CompileBreakdown bd;
+  bd.trace_ms = ms_since(t0, t_traced);
+  bd.lower_ms = ms_since(t_traced, t_lowered);
+  bd.passes_ms = ms_since(t_lowered, t1);
+  bd.total_ms = ms_since(t0, t1);
+  RunnerMetrics& rm = runner_metrics();
+  rm.compile_ms.record(bd.total_ms);
+  rm.compile_trace_ms.record(bd.trace_ms);
+  rm.compile_lower_ms.record(bd.lower_ms);
+  rm.compile_passes_ms.record(bd.passes_ms);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    last_breakdown_ = bd;
+  }
+  return std::make_shared<PlanExecutor>(std::move(compiled));
 }
 
 PlanRunner::CompileBreakdown PlanRunner::last_compile_breakdown() const {
@@ -129,7 +123,16 @@ std::shared_ptr<PlanExecutor> PlanRunner::get_or_compile(const Shape& shape) {
   // multi-second first compile must not stall forwards for other shapes.
   // Concurrent first-users may both compile; the first to publish wins and
   // the loser's work is dropped.
-  std::shared_ptr<PlanExecutor> exec = compile_shape(shape);
+  std::shared_ptr<PlanExecutor> exec;
+  try {
+    exec = compile_shape(shape);
+  } catch (const std::exception& e) {
+    // A throw says nothing about the shape (a fault, an allocation failure),
+    // so nothing is cached and the next forward of this shape compiles again.
+    SAUFNO_WARN << "plan: compile failed for shape " << shape_str(shape)
+                << " (interpreting instead): " << e.what();
+    return nullptr;
+  }
   std::lock_guard<std::mutex> lk(mu_);
   auto ins = cache_.emplace(shape, exec);
   runner_metrics().size.set(static_cast<int64_t>(cache_.size()));
@@ -140,8 +143,8 @@ Tensor PlanRunner::forward(const Tensor& input) {
   if (mode_ == Mode::kOff) return interpret(input);
   std::shared_ptr<PlanExecutor> exec = get_or_compile(input.shape());
   if (exec == nullptr) {
-    // Negative cache entry: this shape traced to an unsupported op; the
-    // warning was logged once at compile time.
+    // Negative cache entry (the shape traced to an unsupported op, logged
+    // once at compile time) or a compile that threw (logged, not cached).
     runner_metrics().fallbacks.add();
     return interpret(input);
   }

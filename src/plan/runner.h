@@ -38,8 +38,10 @@ class PlanRunner {
   PlanRunner(std::shared_ptr<nn::Module> model, Mode mode);
 
   /// Run one forward. Plan-mode results are bit-identical to the
-  /// interpreter's; on any compile failure the runner logs once per shape
-  /// and interprets instead, so serving never breaks.
+  /// interpreter's; on a compile failure the runner logs and interprets
+  /// instead, so serving never breaks. A shape that traces to an unsupported
+  /// op is cached as untraceable and logged once; a compile that throws is
+  /// not cached, so the next forward of that shape compiles again.
   Tensor forward(const Tensor& input);
 
   /// Force one interpreted forward regardless of mode: the engine's output
@@ -48,16 +50,16 @@ class PlanRunner {
   Tensor forward_interpreted(const Tensor& input) { return interpret(input); }
 
   Mode mode() const { return mode_; }
-  /// Number of shapes with a cached compile attempt (hit or failed).
+  /// Number of cached shapes (compiled or untraceable).
   std::size_t cache_size() const;
-  /// The compiled plan for `shape`, or nullptr (uncompiled / failed).
+  /// The compiled plan for `shape`, or nullptr (uncompiled / untraceable).
   std::shared_ptr<PlanExecutor> executor_for(const Shape& shape) const;
 
   /// Wall-clock phases of one plan compile. `trace_ms` is the recorded
   /// forward through the model (runs every kernel once on a zero probe —
   /// this, not the compiler, is where a multi-second compile goes);
   /// `lower_ms` is TraceSession graph extraction; `passes_ms` is the
-  /// compiler pass pipeline (fusion, liveness, arena layout, leveling).
+  /// compiler pass pipeline (fusion, liveness, arena layout).
   struct CompileBreakdown {
     double trace_ms = 0.0;
     double lower_ms = 0.0;
@@ -72,8 +74,11 @@ class PlanRunner {
 
  private:
   /// Cached compile result; `exec == nullptr` is a negative entry (the
-  /// shape traced to an unsupported op) so failures are not re-attempted.
+  /// shape traced to an unsupported op) so it is not re-attempted. A compile
+  /// that throws returns nullptr without caching it.
   std::shared_ptr<PlanExecutor> get_or_compile(const Shape& shape);
+  /// Trace and compile one shape: nullptr if the shape is untraceable;
+  /// throws on any other failure.
   std::shared_ptr<PlanExecutor> compile_shape(const Shape& shape);
 
   Tensor interpret(const Tensor& input);

@@ -148,10 +148,12 @@ class TraceSessionImpl {
 
 TraceSession::TraceSession(
     const std::vector<std::pair<std::string, Var>>& named_params,
-    const Var& input)
-    : impl_(new detail_trace::TraceSessionImpl(named_params, input)) {
+    const Var& input) {
+  // Check before allocating: a throwing constructor never runs the
+  // destructor, so an impl allocated first would leak.
   SAUFNO_CHECK(detail_trace::g_active == nullptr,
                "nested TraceSessions on one thread are not supported");
+  impl_ = new detail_trace::TraceSessionImpl(named_params, input);
   detail_trace::g_active = impl_;
 }
 

@@ -56,7 +56,7 @@ class TraceSession {
   Plan take_plan(const Var& output);
 
  private:
-  detail_trace::TraceSessionImpl* impl_;
+  detail_trace::TraceSessionImpl* impl_ = nullptr;
 };
 
 /// RAII label pushed onto the active session's scope stack; instructions

@@ -10,7 +10,7 @@
 #include "nn/serialize.h"
 #include "obs/trace.h"
 #include "runtime/pipeline.h"
-#include "runtime/task_group.h"
+#include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace.h"
 #include "tensor/tensor_ops.h"
@@ -451,24 +451,28 @@ void InferenceEngine::execute_range(std::vector<InferenceRequest>& batch,
 
 namespace {
 
-/// Number of row partitions for one batched forward. Explicit config wins;
-/// 0 defers to SAUFNO_BATCH_PARTITIONS, else to an auto heuristic: the
-/// largest divisor of the batch that fits the pool lanes with at least 2
-/// rows per partition. Whatever the source, the count is rounded down to a
-/// divisor of the batch so every partition runs the SAME plan shape (one
-/// extra compile, ever) and tiny batches never shatter into per-row
+/// Largest sample grid (H*W) whose batches are split into row partitions.
+/// On a small grid one forward is many short kernels, and spreading each of
+/// them over the pool costs more than it buys, so the batch is split into
+/// row blocks that run as separate forwards, one per lane. On a large grid
+/// the kernels are long enough to spread, and one whole-batch forward uses
+/// every lane. The two cells this was measured on (4-vCPU VM):
+///  - bench_rollout, 16x16, 4 threads x 8 and 16 sessions: 1009-1106
+///    steps/s split, 381-486 unsplit (5 runs each);
+///  - perfbench sweep_64, 64x64, B=8 on 2 lanes: 4.26 maps/s unsplit, 3.92
+///    split into two B=4 forwards (medians of 3 runs each).
+constexpr int64_t kMaxSplitGrid = 32 * 32;
+
+/// Number of row partitions for one batched forward of [C, H, W] samples:
+/// 1 above kMaxSplitGrid, else the largest divisor of the batch that fits
+/// the pool lanes with at least 2 rows per partition, so every partition
+/// runs the SAME plan shape and tiny batches never shatter into per-row
 /// forwards.
-int64_t resolve_batch_partitions(int64_t configured, int64_t padded) {
-  int64_t p = configured;
-  if (p == 0) {
-    static const int env_p =
-        env_int_in_range("SAUFNO_BATCH_PARTITIONS", 0, 0, 1024);
-    p = env_p;
-  }
-  if (p == 0) {
-    p = std::min<int64_t>(ThreadPool::instance().num_threads(), padded / 2);
-  }
-  p = std::max<int64_t>(1, std::min<int64_t>(p, padded));
+int64_t row_partitions(const Shape& sample, int64_t padded) {
+  if (sample[1] * sample[2] > kMaxSplitGrid) return 1;
+  int64_t p = std::min<int64_t>(ThreadPool::instance().num_threads(),
+                                padded / 2);
+  p = std::max<int64_t>(1, p);
   while (padded % p != 0) --p;
   return p;
 }
@@ -522,14 +526,14 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
   // its own NoGradGuard. Either way the result is bit-identical and no
   // autograd tape survives the forward.
   //
-  // With batch partitioning the batch is split into contiguous row ranges
-  // and each range runs as its OWN forward on a TaskGroup task (ops inside
-  // a partition still decompose — intra-op x inter-batch). Every kernel is
+  // A batch of small samples is split into contiguous row ranges, each run
+  // as its OWN forward in one parallel_for chunk (the kernels inside a
+  // partition then run inline on that chunk's thread). Every kernel is
   // per-sample independent (pinned by the padded-vs-unpadded and
   // partitioned-vs-not bitwise tests), so forwarding rows [r0, r1) alone
   // and concatenating in row order is bit-identical to one whole-batch
   // forward.
-  const int64_t parts = resolve_batch_partitions(cfg_.batch_partitions, padded);
+  const int64_t parts = row_partitions(in_shape, padded);
   Tensor fwd_out = [&] {
     SAUFNO_TRACE_SPAN("engine.forward");
     const auto t0 = std::chrono::steady_clock::now();
@@ -537,23 +541,16 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
     if (parts <= 1) {
       v = plan_->forward(stacked);
     } else {
-      const int64_t rows = padded / parts;  // parts divides padded (resolver)
+      const int64_t rows = padded / parts;  // parts divides padded
       std::vector<Tensor> outs(static_cast<std::size_t>(parts));
-      {
-        TaskGroup g;
-        for (int64_t pi = 1; pi < parts; ++pi) {
-          g.run([&, pi] {
-            Tensor part = Tensor::wrap_external(
-                stacked.data() + pi * rows * sample,
-                {rows, in_shape[0], in_shape[1], in_shape[2]});
-            outs[static_cast<std::size_t>(pi)] = plan_->forward(part);
-          });
+      parallel_for(0, parts, 1, [&](int64_t p0, int64_t p1) {
+        for (int64_t pi = p0; pi < p1; ++pi) {
+          Tensor part = Tensor::wrap_external(
+              stacked.data() + pi * rows * sample,
+              {rows, in_shape[0], in_shape[1], in_shape[2]});
+          outs[static_cast<std::size_t>(pi)] = plan_->forward(part);
         }
-        Tensor part0 = Tensor::wrap_external(
-            stacked.data(), {rows, in_shape[0], in_shape[1], in_shape[2]});
-        outs[0] = plan_->forward(part0);
-        g.wait();
-      }
+      });
       const Shape& ps = outs[0].shape();  // [rows, C_out, H, W]
       SAUFNO_CHECK(ps.size() == 4 && ps[0] == rows,
                    "partitioned forward returned unexpected shape " +

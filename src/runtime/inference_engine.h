@@ -133,18 +133,6 @@ class InferenceEngine {
     /// 0 disables the watchdog. The default (10 s) is far beyond any
     /// legitimate batch — sanitizer lanes included.
     int64_t watchdog_timeout_ms = 10000;
-    /// Split each batched forward into this many contiguous row partitions
-    /// run concurrently as TaskGroup tasks (each partition is its own
-    /// plan/interpreter forward; an op inside one partition still
-    /// decomposes onto the pool — intra-op x inter-batch). 1 disables
-    /// partitioning; 0 (default) = the SAUFNO_BATCH_PARTITIONS env knob,
-    /// else an auto heuristic (largest divisor of the batch <= pool lanes
-    /// with >= 2 rows per partition, so every partition shares one plan
-    /// shape). Results are bit-identical partitioned or not: every kernel
-    /// is per-sample independent (pinned by the padded-vs-unpadded and
-    /// partitioned-vs-not bitwise tests), and partition outputs are
-    /// reassembled in row order.
-    int64_t batch_partitions = 0;
   };
 
   /// Takes shared ownership of `model`, switches it to eval mode and starts

@@ -6,13 +6,17 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <vector>
 
-#include "runtime/task_depth.h"
 #include "runtime/thread_pool.h"
 
 namespace saufno {
 namespace runtime {
 namespace {
+
+/// True while this thread executes a chunk of a loop that was spread over
+/// the pool; a parallel_for called then runs inline (the flat rule).
+thread_local bool tl_in_chunk = false;
 
 /// Shared state of one parallel_for call. Kept alive by shared_ptr because a
 /// worker may wake after the caller has already collected all chunks and
@@ -22,7 +26,6 @@ struct LoopState {
   int64_t end = 0;
   int64_t grain = 1;
   int64_t n_chunks = 0;
-  int chunk_depth = 1;  // task_depth while a chunk of THIS loop executes
   const std::function<void(int64_t, int64_t)>* fn = nullptr;
 
   std::atomic<int64_t> next{0};
@@ -33,7 +36,8 @@ struct LoopState {
   std::condition_variable cv;
 
   void run_chunks() {
-    detail::DepthScope scope(chunk_depth);
+    const bool prev = tl_in_chunk;
+    tl_in_chunk = true;
     for (;;) {
       const int64_t c = next.fetch_add(1, std::memory_order_relaxed);
       if (c >= n_chunks) break;
@@ -52,30 +56,11 @@ struct LoopState {
         cv.notify_all();
       }
     }
+    tl_in_chunk = prev;
   }
 };
 
-/// Wait for every chunk of `st` to finish. While chunks are in flight on
-/// other threads, this thread helps by running other queued pool tasks
-/// (bounded depth, so a chain of helped tasks that themselves wait cannot
-/// grow the stack without limit) before falling back to a cv sleep.
-void wait_all(LoopState& st, ThreadPool& pool) {
-  if (detail::help_depth_ref() < 4) {
-    ++detail::help_depth_ref();
-    while (st.done.load(std::memory_order_acquire) < st.n_chunks) {
-      if (!pool.try_help_one()) break;
-    }
-    --detail::help_depth_ref();
-  }
-  std::unique_lock<std::mutex> lk(st.m);
-  st.cv.wait(lk, [&] {
-    return st.done.load(std::memory_order_acquire) == st.n_chunks;
-  });
-}
-
 }  // namespace
-
-bool in_parallel_region() { return detail::task_depth_ref() > 0; }
 
 void parallel_for(int64_t begin, int64_t end, int64_t grain,
                   const std::function<void(int64_t, int64_t)>& fn) {
@@ -85,14 +70,9 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
   const int64_t n_chunks = (n + grain - 1) / grain;
 
   ThreadPool& pool = ThreadPool::instance();
-  const int depth = detail::task_depth_ref();
-  if (pool.num_threads() <= 1 || n_chunks <= 1 ||
-      depth >= detail::max_task_depth()) {
+  if (tl_in_chunk || pool.num_threads() <= 1 || n_chunks <= 1) {
     // Inline path runs the SAME chunking in chunk order so reductions built
-    // on per-chunk partials match the decomposed path bit-for-bit. The
-    // depth still advances: in_parallel_region() and nested decomposition
-    // decisions see the same task tree whatever path was taken.
-    detail::DepthScope scope(depth + 1);
+    // on per-chunk partials match the spread path bit-for-bit.
     for (int64_t c = 0; c < n_chunks; ++c) {
       const int64_t b = begin + c * grain;
       fn(b, std::min(end, b + grain));
@@ -105,7 +85,6 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
   state->end = end;
   state->grain = grain;
   state->n_chunks = n_chunks;
-  state->chunk_depth = depth + 1;
   state->fn = &fn;  // caller blocks below, so the reference stays valid
 
   const int helpers = static_cast<int>(
@@ -115,16 +94,14 @@ void parallel_for(int64_t begin, int64_t end, int64_t grain,
   }
   state->run_chunks();
 
-  wait_all(*state, pool);
+  // Every chunk is claimed by now; wait for the ones still running elsewhere.
+  {
+    std::unique_lock<std::mutex> lk(state->m);
+    state->cv.wait(lk, [&] {
+      return state->done.load(std::memory_order_acquire) == state->n_chunks;
+    });
+  }
   if (state->has_error.load()) std::rethrow_exception(state->eptr);
-}
-
-void parallel_invoke(std::vector<std::function<void()>> fns) {
-  if (fns.empty()) return;
-  parallel_for(0, static_cast<int64_t>(fns.size()), 1,
-               [&](int64_t b, int64_t e) {
-                 for (int64_t i = b; i < e; ++i) fns[static_cast<std::size_t>(i)]();
-               });
 }
 
 double parallel_sum(int64_t n, int64_t grain,

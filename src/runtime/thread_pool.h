@@ -24,9 +24,11 @@ namespace runtime {
 ///
 /// Scheduling: `submit` pushes onto per-worker deques round-robin; a worker
 /// drains its own deque LIFO (cache-warm) and, when empty, steals FIFO from
-/// its siblings before sleeping. The pool never reorders the *results* of
-/// the kernels built on top of it: `parallel_for` chunk boundaries depend
-/// only on the grain (see parallel_for.h), so every thread count produces
+/// its siblings before sleeping. Only workers run queued tasks, and no task
+/// ever waits on another: `parallel_for` is flat (see parallel_for.h), so a
+/// waiting thread has nothing to help with. The pool never reorders the
+/// *results* of the kernels built on top of it: `parallel_for` chunk
+/// boundaries depend only on the grain, so every thread count produces
 /// bit-identical tensors.
 class ThreadPool {
  public:
@@ -49,14 +51,6 @@ class ThreadPool {
   /// Enqueue a task for asynchronous execution. With no workers (pool size
   /// 1) the task runs inline on the calling thread.
   void submit(std::function<void()> task);
-
-  /// Run one queued task on the CALLING thread, if any is available; true
-  /// if a task ran. This is the "help" hook for threads blocked in a
-  /// structured wait (parallel_for / TaskGroup): instead of idling while
-  /// their own chunks are in flight elsewhere, they drain unrelated pool
-  /// work. Scans the worker deques FIFO from a rotating start index, so
-  /// concurrent helpers spread across queues instead of contending on one.
-  bool try_help_one();
 
   /// Tasks currently queued (submitted, not yet started). Scrape-side
   /// accessor for the `pool.queue_depth` callback gauge.
@@ -81,7 +75,6 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   int n_threads_ = 1;
   std::atomic<std::uint64_t> next_queue_{0};
-  std::atomic<std::uint64_t> next_help_{0};
   std::atomic<std::int64_t> task_count_{0};
   std::atomic<bool> stop_{false};
   std::mutex wake_m_;

@@ -627,11 +627,10 @@ void bmm_into(const Tensor& a, const Tensor& b, Tensor& out) {
   SAUFNO_CHECK(b.shape()[1] == k, "bmm inner dims mismatch");
   SAUFNO_CHECK(out.numel() == batch * m * n,
                "bmm destination numel mismatch");
-  // Parallel over the batch; the nested gemm's own parallel_for decomposes
-  // onto the pool too (up to SAUFNO_MAX_NEST), so idle lanes pick up
-  // row-blocks of in-flight gemms instead of waiting. Chunk boundaries at
-  // both levels depend only on shapes, so results stay bit-identical. With
-  // batch == 1 the gemm row-block parallelism takes over entirely.
+  // Parallel over the batch; the nested gemm's own parallel_for runs inline
+  // inside each batch chunk. Chunk boundaries at both levels depend only on
+  // shapes, so results stay bit-identical. With batch == 1 the outer loop is
+  // one inline chunk and the gemm row-block parallelism takes over.
   runtime::parallel_for(0, batch, 1, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       const float* pa = a.data() + (ba == 1 ? 0 : i) * m * k;

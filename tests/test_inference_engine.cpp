@@ -7,12 +7,14 @@
 #include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
 #include "data/normalizer.h"
+#include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "tensor/tensor.h"
 #include "train/model_zoo.h"
@@ -185,33 +187,44 @@ TEST(InferenceEngine, PaddedBatchBitIdenticalToUnpaddedWithNormalizer) {
 }
 
 TEST(InferenceEngine, PartitionedBatchBitIdenticalToWholeBatchForward) {
-  // batch_partitions splits one batched forward into contiguous row
-  // sub-forwards run concurrently; per-sample independence (pinned above)
-  // makes that bit-identical to the whole-batch forward. Run at several
-  // thread counts so the TaskGroup actually schedules concurrently.
+  // A batch of small maps (12x12 is under the split threshold) is split
+  // into contiguous row sub-forwards, one per lane, run concurrently; at 1
+  // lane it runs whole. Per-sample independence (pinned above) makes both
+  // bit-identical. Every engine is new, so each split run starts with
+  // concurrent first compiles of the partition shape on pool threads: none
+  // of them may fall back to the interpreter.
   auto model = smoke_model();
   const auto norm =
       data::Normalizer::from_stats(298.15, 2.0, 10.0, /*n_power=*/1);
   const auto maps = random_maps(8, 12, 99);
+  obs::Counter& fallbacks = obs::counter("plan.fallbacks");
+  const int64_t fallbacks_before = fallbacks.value();
 
-  auto serve = [&](int64_t parts) {
+  // Rows per partition: the largest divisor of 8 that fits the lanes with
+  // at least 2 rows each.
+  auto serve = [&](int threads, int64_t rows) {
+    ThreadPool::instance().resize(threads);
     InferenceEngine::Config cfg;
     cfg.max_batch = 8;
     cfg.max_wait_us = 50000;
     cfg.pad_to_full_batch = true;  // stable batch of 8 -> stable partitions
-    cfg.batch_partitions = parts;
-    InferenceEngine engine(model, norm, cfg);
-    std::vector<std::future<Tensor>> futs;
-    for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
+    cfg.plan_mode = 1;  // the partition plans are what this test inspects
     std::vector<Tensor> out;
-    for (auto& f : futs) out.push_back(f.get());
+    {
+      InferenceEngine engine(model, norm, cfg);
+      std::vector<std::future<Tensor>> futs;
+      for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
+      for (auto& f : futs) out.push_back(f.get());
+      EXPECT_NE(engine.plan_runner().executor_for({rows, 3, 12, 12}), nullptr)
+          << "no plan compiled for " << rows << "-row partitions at "
+          << threads << " threads";
+    }
+    ThreadPool::instance().resize(1);
     return out;
   };
-  const auto whole = serve(1);
-  for (const int threads : {2, 8}) {
-    runtime::ThreadPool::instance().resize(threads);
-    const auto split = serve(4);
-    runtime::ThreadPool::instance().resize(1);
+  const auto whole = serve(1, 8);
+  for (const auto& [threads, rows] : {std::pair<int, int64_t>{2, 4}, {8, 2}}) {
+    const auto split = serve(threads, rows);
     for (std::size_t i = 0; i < maps.size(); ++i) {
       ASSERT_EQ(split[i].shape(), whole[i].shape());
       EXPECT_EQ(std::memcmp(split[i].data(), whole[i].data(),
@@ -222,6 +235,8 @@ TEST(InferenceEngine, PartitionedBatchBitIdenticalToWholeBatchForward) {
           << " threads: partitioning changed a row";
     }
   }
+  EXPECT_EQ(fallbacks.value(), fallbacks_before)
+      << "a partitioned first compile fell back to the interpreter";
 }
 
 TEST(InferenceEngine, ShortLivedClientThreadsCanDropResults) {

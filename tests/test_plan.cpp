@@ -9,12 +9,14 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nn/module.h"
+#include "obs/metrics.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
 #include "plan/ir.h"
@@ -203,6 +205,40 @@ TEST(PlanRunner, UnsupportedOpFallsBackToInterpreter) {
   expect_bitwise(got, relu(x), "fallback");
   EXPECT_EQ(runner.cache_size(), 1u);
   EXPECT_EQ(runner.executor_for(shape), nullptr);
+}
+
+TEST(PlanRunner, CompileExceptionIsNotCachedAndRecompiles) {
+  // A compile that throws says nothing about the shape (here the model's
+  // first forward fails once). The runner counts a fallback, interprets,
+  // and leaves the shape uncached, so the next forward compiles it.
+  auto calls = std::make_shared<int>(0);
+  auto model = std::make_shared<nn::Lambda>([calls](const Var& x) {
+    if ((*calls)++ == 0) throw std::runtime_error("first forward fails");
+    return ops::relu(x);
+  });
+  plan::PlanRunner runner(model, plan::Mode::kOn);
+  obs::Counter& fallbacks = obs::counter("plan.fallbacks");
+  const int64_t before = fallbacks.value();
+  const Shape shape{2, 3, 4, 4};
+  Rng rng = testing::test_rng();
+  Tensor x = Tensor::randn(shape, rng);
+
+  expect_bitwise(runner.forward(x), relu(x), "first forward");
+  EXPECT_EQ(fallbacks.value() - before, 1);
+  EXPECT_EQ(runner.cache_size(), 0u);
+
+  expect_bitwise(runner.forward(x), relu(x), "second forward");
+  EXPECT_NE(runner.executor_for(shape), nullptr);
+  EXPECT_EQ(fallbacks.value() - before, 1);
+}
+
+TEST(TraceSession, SecondSessionOnOneThreadThrows) {
+  // The failing constructor must leave the outer session recording (and
+  // allocate nothing it could leak — the ASan lane checks that).
+  Var in{Tensor({1, 2})};
+  plan::TraceSession outer({}, in);
+  EXPECT_THROW({ plan::TraceSession inner({}, in); }, std::runtime_error);
+  EXPECT_TRUE(plan::tracing());
 }
 
 TEST(InferenceEngine, PlanModeBitIdenticalToInterpretedServing) {

@@ -14,7 +14,6 @@
 #include "autograd/spectral_ops.h"
 #include "fft/fft.h"
 #include "runtime/request_queue.h"
-#include "runtime/task_group.h"
 #include "runtime/thread_pool.h"
 #include "runtime/workspace.h"
 #include "tensor/kernels.h"
@@ -26,7 +25,6 @@ namespace {
 
 using runtime::ThreadPool;
 using runtime::parallel_for;
-using runtime::parallel_invoke;
 using runtime::parallel_sum;
 
 /// RAII thread-count override so a failing assertion cannot leak a resized
@@ -73,62 +71,14 @@ TEST(ParallelFor, NestedCallsCoverEveryIndex) {
   std::atomic<int> total{0};
   parallel_for(0, 8, 1, [&](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) {
-      EXPECT_TRUE(runtime::in_parallel_region());
-      // Nested loops decompose onto the pool (they no longer serialize);
-      // coverage must still be exact.
+      // Nested loops run inline inside the outer chunk; coverage must
+      // still be exact.
       parallel_for(0, 10, 1, [&](int64_t nb, int64_t ne) {
-        EXPECT_TRUE(runtime::in_parallel_region());
         total += static_cast<int>(ne - nb);
       });
     }
   });
   EXPECT_EQ(total.load(), 80);
-}
-
-TEST(ParallelFor, DepthCapRunsDeepLoopsInlineInChunkOrder) {
-  PoolSize guard(4);
-  // Beyond SAUFNO_MAX_NEST (default 4) loops must fall back to the inline
-  // path; chunk order there is sequential, so the recorded boundaries are
-  // exactly [0,2),[2,4),...
-  std::vector<std::pair<int64_t, int64_t>> chunks;
-  parallel_for(0, 1, 1, [&](int64_t, int64_t) {
-    parallel_for(0, 1, 1, [&](int64_t, int64_t) {
-      parallel_for(0, 1, 1, [&](int64_t, int64_t) {
-        parallel_for(0, 1, 1, [&](int64_t, int64_t) {
-          EXPECT_TRUE(runtime::in_parallel_region());
-          // Depth 5 > cap: runs inline on this thread, in order.
-          parallel_for(0, 8, 2, [&](int64_t b, int64_t e) {
-            EXPECT_TRUE(runtime::in_parallel_region());
-            chunks.emplace_back(b, e);
-          });
-        });
-      });
-    });
-  });
-  ASSERT_EQ(chunks.size(), 4u);
-  for (std::size_t c = 0; c < 4; ++c) {
-    EXPECT_EQ(chunks[c].first, static_cast<int64_t>(2 * c));
-    EXPECT_EQ(chunks[c].second, static_cast<int64_t>(2 * c + 2));
-  }
-}
-
-TEST(ParallelFor, InParallelRegionSemantics) {
-  for (const int threads : {1, 4}) {
-    PoolSize guard(threads);
-    EXPECT_FALSE(runtime::in_parallel_region());
-    // True inside a chunk on EVERY path: multi-chunk, single-chunk (inline
-    // fallback), and nested — never dependent on the thread count.
-    parallel_for(0, 8, 1, [&](int64_t, int64_t) {
-      EXPECT_TRUE(runtime::in_parallel_region());
-    });
-    parallel_for(0, 1, 1, [&](int64_t, int64_t) {
-      EXPECT_TRUE(runtime::in_parallel_region());
-    });
-    runtime::TaskGroup g;
-    g.run([] { EXPECT_TRUE(runtime::in_parallel_region()); });
-    g.wait();
-    EXPECT_FALSE(runtime::in_parallel_region());
-  }
 }
 
 TEST(ParallelFor, NestedLoopsAreBitIdenticalAcrossThreadCounts) {
@@ -165,71 +115,6 @@ TEST(ParallelFor, NestedLoopsAreBitIdenticalAcrossThreadCounts) {
   ThreadPool::instance().resize(1);
 }
 
-TEST(TaskGroup, RunsTasksAndIsReusable) {
-  PoolSize guard(4);
-  runtime::TaskGroup g;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 9; ++i) g.run([&ran] { ++ran; });
-  g.wait();
-  EXPECT_EQ(ran.load(), 9);
-  for (int i = 0; i < 5; ++i) g.run([&ran] { ++ran; });
-  g.wait();
-  EXPECT_EQ(ran.load(), 14);
-}
-
-TEST(TaskGroup, PropagatesFirstExceptionAndRecovers) {
-  PoolSize guard(4);
-  runtime::TaskGroup g;
-  g.run([] { throw std::runtime_error("task failed"); });
-  g.run([] {});
-  EXPECT_THROW(g.wait(), std::runtime_error);
-  // Error state resets: the group is reusable after a failed wait.
-  std::atomic<int> ran{0};
-  g.run([&ran] { ++ran; });
-  EXPECT_NO_THROW(g.wait());
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(TaskGroup, RecursiveGroupsAreBitIdenticalAcrossThreadCounts) {
-  // Fork-join recursion: groups inside tasks inside groups, every leaf
-  // writing one disjoint slot. The plan-executor / batch-partition nesting
-  // shape; must not deadlock and must be exact at every thread count.
-  auto compute = [&] {
-    Tensor out({4 * 4 * 16});
-    float* o = out.data();
-    runtime::TaskGroup outer;
-    for (int64_t a = 0; a < 4; ++a) {
-      outer.run([o, a] {
-        runtime::TaskGroup inner;
-        for (int64_t b = 0; b < 4; ++b) {
-          inner.run([o, a, b] {
-            parallel_for(0, 16, 4, [&](int64_t i0, int64_t i1) {
-              for (int64_t i = i0; i < i1; ++i) {
-                o[(a * 4 + b) * 16 + i] =
-                    static_cast<float>(a * 1000 + b * 100 + i) * 1.5f;
-              }
-            });
-          });
-        }
-        inner.wait();
-      });
-    }
-    outer.wait();
-    return out;
-  };
-  ThreadPool::instance().resize(1);
-  const Tensor ref = compute();
-  for (const int threads : {2, 8}) {
-    ThreadPool::instance().resize(threads);
-    const Tensor got = compute();
-    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
-                          sizeof(float) * static_cast<std::size_t>(ref.numel())),
-              0)
-        << "recursive groups differ at " << threads << " threads";
-  }
-  ThreadPool::instance().resize(1);
-}
-
 TEST(ParallelFor, ExceptionPropagatesToCaller) {
   PoolSize guard(4);
   EXPECT_THROW(
@@ -238,15 +123,6 @@ TEST(ParallelFor, ExceptionPropagatesToCaller) {
                      if (b == 37) throw std::runtime_error("chunk failed");
                    }),
       std::runtime_error);
-}
-
-TEST(ParallelInvoke, RunsAllTasks) {
-  PoolSize guard(4);
-  std::atomic<int> ran{0};
-  std::vector<std::function<void()>> fns;
-  for (int i = 0; i < 13; ++i) fns.push_back([&ran] { ++ran; });
-  parallel_invoke(std::move(fns));
-  EXPECT_EQ(ran.load(), 13);
 }
 
 // ---------------------------------------------------------------------------
