@@ -1,13 +1,15 @@
 // Kernel-core benchmark: the packed/SIMD-blocked gemm against a byte-level
-// preserved copy of the seed scalar kernel (gemm_seed_reference), across the
-// matrix shapes the zoo models actually hit at serving scale (B=8, C=32,
-// 64x64 grids), plus an end-to-end SAU-FNO forward with gemm routed through
-// each implementation.
+// preserved copy of the seed scalar kernel (gemm_seed_reference in
+// seed_gemm.h, bench/test code only), across the matrix shapes the zoo
+// models actually hit at serving scale (B=8, C=32, 64x64 grids), plus the
+// end-to-end SAU-FNO forward time.
 //
 // Also times the compiled-execution-plan forward (plan::PlanRunner) against
 // the define-by-run interpreter on the same weights and input: the two are
 // bit-identical by construction, so the delta is pure dispatch/fusion/arena
-// win.
+// win. The compiled plan's per-opcode instruction counts go into the JSON,
+// so a layout op creeping back into the forward is visible (CI fails the
+// smoke run if the SAU-FNO-micro plan has any `permute`).
 //
 // Results are printed AND written to BENCH_kernels.json so the performance
 // trajectory is machine-trackable across PRs. `--smoke` (or SAUFNO_SMOKE=1)
@@ -18,9 +20,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -31,6 +35,7 @@
 #include "plan/executor.h"
 #include "plan/runner.h"
 #include "runtime/thread_pool.h"
+#include "seed_gemm.h"
 #include "tensor/kernels.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
@@ -59,6 +64,35 @@ double time_per_call(int iters, Fn fn) {
     best = std::min(best, t.seconds() / iters);
   }
   return best;
+}
+
+/// Interleaved A/B timing: `samples` rounds, each timing `fa` then `fb`
+/// over as many calls as last at least `min_sec`. Returns the median
+/// seconds per call of each side. Alternating the sides and timing each
+/// sample for a floor of wall time keeps a millisecond forward's ratio from
+/// riding on one scheduler hiccup, which best-of-3 over a few calls did not.
+template <typename FnA, typename FnB>
+std::pair<double, double> median_interleaved(int samples, double min_sec,
+                                             FnA fa, FnB fb) {
+  auto sample = [min_sec](auto& fn) {
+    int calls = 0;
+    Timer t;
+    do {
+      fn();
+      ++calls;
+    } while (t.seconds() < min_sec);
+    return t.seconds() / calls;
+  };
+  std::vector<double> a, b;
+  for (int i = 0; i < samples; ++i) {
+    a.push_back(sample(fa));
+    b.push_back(sample(fb));
+  }
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(a), median(b)};
 }
 
 /// Time one gemm shape under both kernels. Also cross-checks that the
@@ -108,8 +142,8 @@ Entry bench_shape(const std::string& name, int64_t m, int64_t n, int64_t k,
 }
 
 /// End-to-end SAU-FNO forward (conv + attention + pointwise + spectral
-/// layers), gemm routed through each implementation via the bench hook.
-double bench_end_to_end(bool smoke, double* fwd_per_sec_out) {
+/// layers) through the interpreter; returns forwards per second.
+double bench_end_to_end(bool smoke) {
   const int64_t B = smoke ? 2 : 8;
   const int64_t H = smoke ? 16 : 64, W = H;
   const int64_t cin = 3, cout = 1;
@@ -122,20 +156,13 @@ double bench_end_to_end(bool smoke, double* fwd_per_sec_out) {
 
   NoGradGuard no_grad;
   auto forward = [&] { (void)model->forward(Var(x)); };
-  forward();  // warm FFT plans + arena so both sides time steady state
-
-  gemm_force_seed_reference(true);
-  const double sec_seed = time_per_call(iters, forward);
-  gemm_force_seed_reference(false);
-  const double sec_new = time_per_call(iters, forward);
-
-  *fwd_per_sec_out = 1.0 / sec_new;
-  std::printf("\nend-to-end forward (B=%lld, %lldx%lld): %.2f ms -> %.2f ms  "
-              "%.2fx  (%.1f fwd/s)\n",
+  forward();  // warm FFT plans + arena so the timing is steady state
+  const double sec = time_per_call(iters, forward);
+  std::printf("\nend-to-end forward (B=%lld, %lldx%lld): %.2f ms  "
+              "(%.1f fwd/s)\n",
               static_cast<long long>(B), static_cast<long long>(H),
-              static_cast<long long>(W), sec_seed * 1e3, sec_new * 1e3,
-              sec_seed / sec_new, 1.0 / sec_new);
-  return sec_seed / sec_new;
+              static_cast<long long>(W), sec * 1e3, 1.0 / sec);
+  return 1.0 / sec;
 }
 
 struct PlanBench {
@@ -150,21 +177,25 @@ struct PlanBench {
   double compile_trace_ms = 0.0;
   double compile_lower_ms = 0.0;
   double compile_passes_ms = 0.0;
+  std::string model;
+  int64_t arena_floats = 0;
+  std::map<std::string, int64_t> opcode_counts;  // per opcode, plan order
 };
 
 /// Compiled plan vs interpreter on the same model/input. The outputs are
 /// bit-identical (tests/test_plan.cpp proves it), so this only measures the
-/// fused-dispatch win. Compile cost is reported as first-call time minus a
-/// steady-state call, i.e. what one cache miss actually adds to a request.
+/// fused-dispatch win: the median of interleaved samples per side. Compile
+/// cost is reported as first-call time minus a steady-state call, i.e. what
+/// one cache miss actually adds to a request.
 PlanBench bench_plan(bool smoke) {
   const int64_t B = smoke ? 2 : 8;
   const int64_t H = smoke ? 16 : 64, W = H;
-  auto model = train::make_model(smoke ? "SAU-FNO-micro" : "SAU-FNO", 3, 1,
-                                 /*seed=*/7);
+  PlanBench r;
+  r.model = smoke ? "SAU-FNO-micro" : "SAU-FNO";
+  auto model = train::make_model(r.model, 3, 1, /*seed=*/7);
   model->set_training(false);
   Rng rng(13);
   Tensor x = Tensor::randn({B, 3, H, W}, rng);
-  const int iters = smoke ? 4 : 10;
 
   plan::PlanRunner interp(model, plan::Mode::kOff);
   plan::PlanRunner planned(model, plan::Mode::kOn);
@@ -174,18 +205,20 @@ PlanBench bench_plan(bool smoke) {
   (void)planned.forward(x);  // first call traces + compiles + runs
   const double first_call = t.seconds();
 
-  const double sec_interp =
-      time_per_call(iters, [&] { (void)interp.forward(x); });
-  const double sec_plan =
-      time_per_call(iters, [&] { (void)planned.forward(x); });
+  const auto [sec_interp, sec_plan] = median_interleaved(
+      smoke ? 9 : 5, smoke ? 0.05 : 0.2, [&] { (void)interp.forward(x); },
+      [&] { (void)planned.forward(x); });
 
-  PlanBench r;
   r.compile_ms = std::max(0.0, (first_call - sec_plan) * 1e3);
   r.speedup = sec_interp / sec_plan;
   if (auto exec = planned.executor_for(x.shape())) {
     r.instr_count = static_cast<int64_t>(exec->plan().instrs.size());
     r.fused_kernels = exec->plan().fused_ops;
     r.folded_ops = exec->plan().folded_ops;
+    r.arena_floats = exec->plan().arena_floats;
+    for (const plan::Instr& ins : exec->plan().instrs) {
+      ++r.opcode_counts[plan::op_name(ins.op)];
+    }
   }
   const auto bd = planned.last_compile_breakdown();
   r.compile_trace_ms = bd.trace_ms;
@@ -206,8 +239,7 @@ PlanBench bench_plan(bool smoke) {
 }
 
 void write_json(const char* path, bool smoke, double ref_speedup,
-                double e2e_speedup, double fwd_per_sec,
-                const PlanBench& plan) {
+                double fwd_per_sec, const PlanBench& plan) {
   JsonWriter w;
   w.begin_object();
   w.field("bench", "bench_kernels");
@@ -215,7 +247,6 @@ void write_json(const char* path, bool smoke, double ref_speedup,
   w.field("simd_level", simd::level_name());
   w.field("threads", runtime::ThreadPool::instance().num_threads());
   w.field("gemm_speedup_reference_shape", ref_speedup, 4);
-  w.field("end_to_end_forward_speedup", e2e_speedup, 4);
   w.field("end_to_end_forward_per_sec", fwd_per_sec, 4);
   w.field("plan_compile_ms", plan.compile_ms, 4);
   w.field("plan_compile_trace_ms", plan.compile_trace_ms, 4);
@@ -225,6 +256,12 @@ void write_json(const char* path, bool smoke, double ref_speedup,
   w.field("plan_instr_count", plan.instr_count);
   w.field("plan_fused_kernels", plan.fused_kernels);
   w.field("plan_folded_ops", plan.folded_ops);
+  w.field("plan_model", plan.model);
+  w.field("plan_arena_floats", plan.arena_floats);
+  w.key("plan_opcode_counts");
+  w.begin_object();
+  for (const auto& [op, count] : plan.opcode_counts) w.field(op, count);
+  w.end_object();
   w.key("results");
   w.begin_array();
   for (const auto& e : g_entries) {
@@ -278,12 +315,10 @@ int main(int argc, char** argv) {
     bench_shape("conv_grad_weight", 32, 288, 4096, 20);
   }
 
-  double fwd_per_sec = 0.0;
-  const double e2e = bench_end_to_end(smoke, &fwd_per_sec);
+  const double fwd_per_sec = bench_end_to_end(smoke);
   const PlanBench plan = bench_plan(smoke);
 
-  write_json("BENCH_kernels.json", smoke, ref.speedup, e2e, fwd_per_sec,
-             plan);
+  write_json("BENCH_kernels.json", smoke, ref.speedup, fwd_per_sec, plan);
 
   int rc = 0;
   if (smoke && ref.speedup < 1.0) {

@@ -370,18 +370,17 @@ Var bmm(const Var& a, const Var& b) {
   auto node = make_node("bmm", {a, b});
   auto ia = a.impl(), ib = b.impl();
   node->backward = [ia, ib](const Tensor& g) {
-    // Per-batch matmul adjoints, with batch-1 broadcasting reduced by sum.
+    // Per-batch matmul adjoints gA = g B^T and gB = A^T g, with the
+    // transposes read in place by gemm; batch-1 broadcasting is reduced by
+    // sum.
     const Tensor& A = ia->value;
     const Tensor& B = ib->value;
-    Tensor bt = saufno::permute(B, {0, 2, 1});
-    Tensor at = saufno::permute(A, {0, 2, 1});
-    Tensor ga = saufno::bmm(g, bt);  // [batch, M, K]
-    Tensor gb = saufno::bmm(at, g);  // [batch, K, N] -- requires matching batch
+    Tensor ga = saufno::bmm_t(g, false, B, true);  // [batch, M, K]
+    Tensor gb = saufno::bmm_t(A, true, g, false);  // [batch, K, N]
     if (A.shape()[0] == 1 && g.shape()[0] != 1) {
       ga = saufno::sum_dim(ga, 0, /*keepdim=*/true);
     }
     if (B.shape()[0] == 1 && g.shape()[0] != 1) {
-      // at has batch 1; bmm broadcast handled it. Reduce gb over batch.
       gb = saufno::sum_dim(gb, 0, /*keepdim=*/true);
     }
     accumulate_grad(ia, ga);
@@ -389,6 +388,29 @@ Var bmm(const Var& a, const Var& b) {
   };
   return tr::record(OpCode::kBmm, {&a, &b},
                     Var::from_op(std::move(out), node));
+}
+
+Var attention(const Var& q, const Var& k, const Var& v, float scale) {
+  tr::Attrs attrs;
+  attrs.fval = scale;
+  Tensor out = saufno::attention(q.value(), k.value(), v.value(), scale);
+  if (!any_requires_grad({q, k, v})) {
+    return tr::record(OpCode::kAttention, {&q, &k, &v}, Var(std::move(out)),
+                      attrs);
+  }
+  auto node = make_node("attention", {q, k, v});
+  auto iq = q.impl(), ik = k.impl(), iv = v.impl();
+  node->backward = [iq, ik, iv, scale](const Tensor& g) {
+    Tensor dq(iq->value.shape()), dk(ik->value.shape()),
+        dv(iv->value.shape());
+    saufno::attention_backward(iq->value, ik->value, iv->value, scale, g, dq,
+                               dk, dv);
+    accumulate_grad(iq, dq);
+    accumulate_grad(ik, dk);
+    accumulate_grad(iv, dv);
+  };
+  return tr::record(OpCode::kAttention, {&q, &k, &v},
+                    Var::from_op(std::move(out), node), attrs);
 }
 
 Var sum_all(const Var& a) {

@@ -43,6 +43,10 @@ Var pad2d(const Var& a, int64_t top, int64_t bottom, int64_t left,
 // Linear algebra.
 Var matmul(const Var& a, const Var& b);
 Var bmm(const Var& a, const Var& b);
+/// Spatial self-attention: softmax_lastdim(scale * q^T k) applied to v, for
+/// q, k: [B, d, N] and v: [B, C, N] -> [B, C, N] (see saufno::attention).
+/// One op, one plan instruction; no [N, N] tensor in forward or backward.
+Var attention(const Var& q, const Var& k, const Var& v, float scale);
 
 // Reductions.
 Var sum_all(const Var& a);   // -> shape [1]

@@ -28,22 +28,16 @@ Var SelfAttentionBlock::forward(const Var& x) {
   const int64_t B = x.size(0), H = x.size(2), W = x.size(3);
   const int64_t N = H * W;
 
-  Var q = wq_->forward(x);  // [B, d, H, W]
-  Var k = wk_->forward(x);  // [B, d, H, W]
-  Var v = wh_->forward(x);  // [B, C, H, W] — the channel-attention map A_c
+  Var q = ops::reshape(wq_->forward(x), {B, d_, N});        // [B, d, N]
+  Var k = ops::reshape(wk_->forward(x), {B, d_, N});        // [B, d, N]
+  // The channel-attention map A_c, [B, C, N].
+  Var v = ops::reshape(wh_->forward(x), {B, channels_, N});
 
-  Var qn = ops::permute(ops::reshape(q, {B, d_, N}), {0, 2, 1});  // [B, N, d]
-  Var kn = ops::reshape(k, {B, d_, N});                           // [B, d, N]
-  // s_ij = <Q_i, K_j> / sqrt(d)  — scaling keeps the softmax out of
+  // s_ij = <Q_i, K_j> / sqrt(d), A_s = softmax_j(s_ij), and
+  // V'_i = sum_j A_s[i,j] A_c[:,j], i.e. V' = A_c A_s^T — one fused op that
+  // never forms the N x N map. The scaling keeps the softmax out of
   // saturation, standard since Vaswani et al. [30].
-  Var scores =
-      ops::mul_scalar(ops::bmm(qn, kn),
-                      1.f / std::sqrt(static_cast<float>(d_)));  // [B, N, N]
-  Var a_s = ops::softmax_lastdim(scores);
-
-  Var vn = ops::reshape(v, {B, channels_, N});  // [B, C, N]
-  // V'_i = sum_j A_s[i,j] A_c[:,j]  ->  V' = A_c * A_s^T  ([B, C, N]).
-  Var out = ops::bmm(vn, ops::permute(a_s, {0, 2, 1}));
+  Var out = ops::attention(q, k, v, 1.f / std::sqrt(static_cast<float>(d_)));
   out = ops::reshape(out, {B, channels_, H, W});
   // Residual connection so the block can no-op early in training.
   return ops::add(x, wo_->forward(out));

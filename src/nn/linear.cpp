@@ -47,13 +47,14 @@ Var PointwiseConv::forward(const Var& x) {
                                       std::to_string(cin_) + " channels, got " +
                                       std::to_string(x.size(1)));
   const int64_t B = x.size(0), H = x.size(2), W = x.size(3);
-  // Channels-last so the channel map is one big gemm.
-  Var t = ops::permute(x, {0, 2, 3, 1});           // [B, H, W, Cin]
-  t = ops::reshape(t, {B * H * W, cin_});
-  t = ops::matmul(t, weight_);
-  if (bias_.defined()) t = ops::add(t, bias_);
-  t = ops::reshape(t, {B, H, W, cout_});
-  return ops::permute(t, {0, 3, 1, 2});            // [B, Cout, H, W]
+  // A batch-broadcast bmm on the NCHW layout, W^T[1, Cout, Cin] x
+  // X[B, Cin, H*W], so the activations never change layout. A compiled
+  // plan constant-folds W^T and the bias reshape; the checkpoint keeps W as
+  // [Cin, Cout].
+  Var wt = ops::reshape(ops::permute(weight_, {1, 0}), {1, cout_, cin_});
+  Var t = ops::bmm(wt, ops::reshape(x, {B, cin_, H * W}));  // [B, Cout, HW]
+  if (bias_.defined()) t = ops::add(t, ops::reshape(bias_, {cout_, 1}));
+  return ops::reshape(t, {B, cout_, H, W});
 }
 
 }  // namespace nn

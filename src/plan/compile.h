@@ -16,10 +16,9 @@ namespace plan {
 ///  2. Reshape aliasing — kReshape instructions become zero-cost slot
 ///     aliases (same storage, new shape).
 ///  3. Fusion peephole — act(add) and act(add(add)) collapse into
-///     kFusedAddAct (bias+activation in one sweep), an activation following
-///     a kConv2d folds into the conv's epilogue, and softmax(mul_scalar)
-///     becomes kScaledSoftmax. Only float-exact fusions are performed, so
-///     the bit-identity contract survives.
+///     kFusedAddAct (bias+activation in one sweep), and an activation
+///     following a kConv2d folds into the conv's epilogue. Only float-exact
+///     fusions are performed, so the bit-identity contract survives.
 ///  4. Dead-code elimination of instructions orphaned by 1–3.
 ///  5. Workspace planning — liveness analysis over instruction indices (the
 ///     executor runs the instructions in order, one at a time), then

@@ -126,13 +126,14 @@ SAUFNO_PLAN_KERNEL(SpectralConv3d) {
                                  args.instr.ivals[1], args.instr.ivals[2],
                                  args.instr.ivals[3], args.out);
 }
+SAUFNO_PLAN_KERNEL(Attention) {
+  attention_into(args.in(0), args.in(1), args.in(2), args.instr.fval,
+                 args.out);
+}
 SAUFNO_PLAN_KERNEL(FusedAddAct) {
   const bool three = args.instr.in.size() == 3;
   fused_add_act_into(args.in(0), args.in(1), three ? &args.in(2) : nullptr,
                      static_cast<int>(args.instr.act), args.out);
-}
-SAUFNO_PLAN_KERNEL(ScaledSoftmax) {
-  scaled_softmax_lastdim_into(args.in(0), args.instr.fval, args.out);
 }
 
 #undef SAUFNO_PLAN_KERNEL

@@ -56,10 +56,10 @@ enum class OpCode : std::uint8_t {
   kMaxPool2d,       // ivals = {kernel}
   kSpectralConv2d,  // ivals = {m1, m2, cout}; in = {x, w}
   kSpectralConv3d,  // ivals = {m1, m2, m3, cout}; in = {x, w}
+  kAttention,       // in = {q, k, v}; fval = score scale
   // Compiler-synthesized fusions (never emitted by the tracer).
   kFusedAddAct,     // out = act(in0 + in1 [+ in2]); 2-input form may
                     // broadcast (bias), 3-input form requires equal shapes
-  kScaledSoftmax,   // out = softmax_lastdim(in * fval)
   kCount
 };
 
@@ -92,7 +92,7 @@ struct Slot {
 struct Instr {
   OpCode op = OpCode::kCount;
   Act act = Act::kNone;  // fused activation (kConv2d, kFusedAddAct)
-  float fval = 0.f;      // scalar operand (kAddScalar, kMulScalar, kScaledSoftmax)
+  float fval = 0.f;      // scalar operand (kAddScalar, kMulScalar, kAttention)
   std::vector<int32_t> in;
   int32_t out = -1;
   std::vector<int64_t> ivals;  // op-specific attrs, see OpCode comments

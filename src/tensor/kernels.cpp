@@ -1,7 +1,6 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "common/fault.h"
@@ -22,10 +21,6 @@ namespace {
 constexpr int64_t kMR = 6;
 constexpr int64_t kNR = 16;
 constexpr int64_t kKC = 512;
-
-// Bench/test hook: route gemm() through the seed kernel so old-vs-new can
-// be measured end-to-end through unmodified model code.
-std::atomic<bool> g_force_seed_reference{false};
 
 // --- microkernel: tile[MR][NR] = Ap(kc x MR) * Bp(kc x NR) -----------------
 //
@@ -86,20 +81,41 @@ MicroKernelFn pick_micro_kernel() {
   return micro_kernel_scalar;
 }
 
+// Transposing packs walk the source in kTB-deep strips of K so that both
+// the strided reads and the panel writes of one strip stay in L1.
+constexpr int64_t kTB = 64;
+
 // Pack B[k x n] into NR-wide column panels, layout [panel][kk][NR], dead
-// columns zero-filled. Pure data movement, so the parallel split over
-// panels cannot perturb numerics.
-void pack_b(const float* b, float* bp, int64_t k, int64_t n) {
+// columns zero-filled. Pure data movement, so neither the parallel split
+// over panels nor the operand strides can perturb numerics.
+void pack_b(MatView b, float* bp, int64_t k, int64_t n) {
   const int64_t npanels = (n + kNR - 1) / kNR;
   runtime::parallel_for(0, npanels, 1, [&](int64_t p0, int64_t p1) {
     for (int64_t p = p0; p < p1; ++p) {
       const int64_t j0 = p * kNR;
       const int64_t jw = std::min(kNR, n - j0);
       float* dst = bp + p * k * kNR;
-      const float* src = b + j0;
-      for (int64_t kk = 0; kk < k; ++kk, dst += kNR, src += n) {
-        for (int64_t j = 0; j < jw; ++j) dst[j] = src[j];
-        for (int64_t j = jw; j < kNR; ++j) dst[j] = 0.f;
+      const float* src = b.p + j0 * b.cs;
+      if (b.cs == 1) {
+        for (int64_t kk = 0; kk < k; ++kk) {
+          const float* row = src + kk * b.rs;
+          float* d = dst + kk * kNR;
+          for (int64_t j = 0; j < jw; ++j) d[j] = row[j];
+          for (int64_t j = jw; j < kNR; ++j) d[j] = 0.f;
+        }
+      } else {
+        for (int64_t k0 = 0; k0 < k; k0 += kTB) {
+          const int64_t k1 = std::min(k, k0 + kTB);
+          for (int64_t j = 0; j < jw; ++j) {
+            const float* col = src + j * b.cs;
+            for (int64_t kk = k0; kk < k1; ++kk) {
+              dst[kk * kNR + j] = col[kk * b.rs];
+            }
+          }
+          for (int64_t kk = k0; kk < k1; ++kk) {
+            for (int64_t j = jw; j < kNR; ++j) dst[kk * kNR + j] = 0.f;
+          }
+        }
       }
     }
   });
@@ -107,12 +123,20 @@ void pack_b(const float* b, float* bp, int64_t k, int64_t n) {
 
 // Pack rows [i0, i0+mr) of A into one MR-tall panel, layout [kk][MR], dead
 // rows zero-filled.
-void pack_a_panel(const float* a, float* panel, int64_t i0, int64_t mr,
+void pack_a_panel(MatView a, float* panel, int64_t i0, int64_t mr,
                   int64_t k) {
-  for (int64_t r = 0; r < mr; ++r) {
-    const float* src = a + (i0 + r) * k;
-    float* dst = panel + r;
-    for (int64_t kk = 0; kk < k; ++kk) dst[kk * kMR] = src[kk];
+  if (a.cs == 1) {
+    for (int64_t r = 0; r < mr; ++r) {
+      const float* src = a.p + (i0 + r) * a.rs;
+      float* dst = panel + r;
+      for (int64_t kk = 0; kk < k; ++kk) dst[kk * kMR] = src[kk];
+    }
+  } else {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float* src = a.p + i0 * a.rs + kk * a.cs;
+      float* dst = panel + kk * kMR;
+      for (int64_t r = 0; r < mr; ++r) dst[r] = src[r * a.rs];
+    }
   }
   for (int64_t r = mr; r < kMR; ++r) {
     float* dst = panel + r;
@@ -120,7 +144,7 @@ void pack_a_panel(const float* a, float* panel, int64_t i0, int64_t mr,
   }
 }
 
-void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
+void gemm_blocked(MatView a, MatView b, float* c, int64_t ldc, int64_t m,
                   int64_t n, int64_t k, bool accumulate) {
   const MicroKernelFn micro = pick_micro_kernel();
   const int64_t npanels = (n + kNR - 1) / kNR;
@@ -164,7 +188,7 @@ void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
           const int64_t i0 = r0 + rp * kMR;
           const int64_t mr = std::min(kMR, r1 - i0);
           for (int64_t r = 0; r < mr; ++r) {
-            float* crow = c + (i0 + r) * n + j0;
+            float* crow = c + (i0 + r) * ldc + j0;
             const float* trow = tile + r * kNR;
             if (assign) {
               for (int64_t j = 0; j < jw; ++j) crow[j] = trow[j];
@@ -181,7 +205,7 @@ void gemm_blocked(const float* a, const float* b, float* c, int64_t m,
 
 }  // namespace
 
-void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
+void gemm(MatView a, MatView b, float* c, int64_t ldc, int64_t m, int64_t n,
           int64_t k, bool accumulate) {
   SAUFNO_FAULT_POINT("gemm");
   // SAUFNO_PROFILE_KERNELS: time every gemm into the registry (and the
@@ -192,45 +216,14 @@ void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
   if (k <= 0) {
     // Empty contraction: C (+)= 0.
     if (!accumulate) {
-      std::memset(c, 0, sizeof(float) * static_cast<std::size_t>(m * n));
-    }
-    return;
-  }
-  if (g_force_seed_reference.load(std::memory_order_relaxed)) {
-    gemm_seed_reference(a, b, c, m, n, k, accumulate);
-    return;
-  }
-  gemm_blocked(a, b, c, m, n, k, accumulate);
-}
-
-void gemm_seed_reference(const float* a, const float* b, float* c, int64_t m,
-                         int64_t n, int64_t k, bool accumulate) {
-  const int64_t row_cost = std::max<int64_t>(1, n * k);
-  const int64_t grain = std::max<int64_t>(1, 32768 / row_cost);
-  runtime::parallel_for(0, m, grain, [&](int64_t r0, int64_t r1) {
-    if (!accumulate) {
-      std::memset(c + r0 * n, 0,
-                  sizeof(float) * static_cast<std::size_t>((r1 - r0) * n));
-    }
-    for (int64_t i = r0; i < r1; ++i) {
-      float* crow = c + i * n;
-      const float* arow = a + i * k;
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float aik = arow[kk];
-        // The seed's data-dependent zero-skip, preserved verbatim HERE ONLY
-        // so benches/tests can measure against the exact old behavior. It
-        // silently drops NaN/Inf columns of B (0 * NaN must be NaN) — the
-        // bug the serving kernel above fixes.
-        if (aik == 0.f) continue;
-        const float* brow = b + kk * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+      for (int64_t i = 0; i < m; ++i) {
+        std::memset(c + i * ldc, 0,
+                    sizeof(float) * static_cast<std::size_t>(n));
       }
     }
-  });
-}
-
-void gemm_force_seed_reference(bool on) {
-  g_force_seed_reference.store(on, std::memory_order_relaxed);
+    return;
+  }
+  gemm_blocked(a, b, c, ldc, m, n, k, accumulate);
 }
 
 void im2col(const float* img, float* cols, int64_t c, int64_t h, int64_t w,

@@ -4,30 +4,39 @@
 
 namespace saufno {
 
-/// Row-major sgemm: C[M,N] (+)= A[M,K] * B[K,N].
+/// One gemm operand read in place: logical element (i, j) is
+/// `p[i * rs + j * cs]`. A row-major [rows, cols] matrix is {p, cols, 1};
+/// its transpose, read without a copy, is {p, 1, cols}. A sub-block is the
+/// same strides with `p` moved to its first element.
+struct MatView {
+  const float* p;
+  int64_t rs;
+  int64_t cs;
+};
+
+/// sgemm: C[M,N] (+)= A[M,K] * B[K,N], with A and B read through any row/
+/// column strides and C row-major with row stride `ldc`.
 ///
 /// Packed, cache-blocked implementation: A row panels and B column panels
-/// are packed into workspace-arena scratch, then an MR x NR register-tiled
-/// microkernel (AVX2+FMA when the CPU has it — see tensor/simd.h — with a
-/// portable auto-vectorizable body otherwise) runs K-blocked over the
-/// panels. Dense and branch-free: NaN/Inf in either operand propagates per
-/// IEEE (no data-dependent zero-skip). Row-block partitioning with a
-/// thread-count-independent grain keeps C bit-identical for every
-/// SAUFNO_NUM_THREADS.
-void gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
+/// are packed into workspace-arena scratch (the packing absorbs the operand
+/// strides, so a transposed or sub-block operand costs nothing extra), then
+/// an MR x NR register-tiled microkernel (AVX2+FMA when the CPU has it —
+/// see tensor/simd.h — with a portable auto-vectorizable body otherwise)
+/// runs K-blocked over the panels. Each C element is one mul-add chain over
+/// K in order, folded into C once per K-block; the chain does not depend on
+/// the operand strides, so gemm on a strided view is bit-identical to gemm
+/// on an explicitly transposed copy. Dense and branch-free: NaN/Inf in
+/// either operand propagates per IEEE (no data-dependent zero-skip).
+/// Row-block partitioning with a thread-count-independent grain keeps C
+/// bit-identical for every SAUFNO_NUM_THREADS.
+void gemm(MatView a, MatView b, float* c, int64_t ldc, int64_t m, int64_t n,
           int64_t k, bool accumulate);
 
-/// The seed repo's scalar i-k-j gemm, preserved verbatim (including its
-/// data-dependent `a[i,k] == 0` skip, which silently drops NaN/Inf columns
-/// of B) as the old-vs-new baseline for bench_kernels and regression tests.
-/// Never used by the serving path.
-void gemm_seed_reference(const float* a, const float* b, float* c, int64_t m,
-                         int64_t n, int64_t k, bool accumulate);
-
-/// Bench/test hook: while on, gemm() routes through gemm_seed_reference so
-/// end-to-end old-vs-new comparisons run through unmodified model code.
-/// Not for production use (flipping it mid-run changes numerics).
-void gemm_force_seed_reference(bool on);
+/// Contiguous row-major form: A[M,K], B[K,N], C[M,N].
+inline void gemm(const float* a, const float* b, float* c, int64_t m,
+                 int64_t n, int64_t k, bool accumulate) {
+  gemm(MatView{a, k, 1}, MatView{b, n, 1}, c, n, m, n, k, accumulate);
+}
 
 /// im2col for 2-D convolution with square stride-1 semantics generalized to
 /// arbitrary stride/padding. Input is one image [C, H, W]; the column buffer

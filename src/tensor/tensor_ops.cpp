@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "runtime/parallel_for.h"
+#include "runtime/workspace.h"
 #include "tensor/kernels.h"
 #include "tensor/simd.h"
 
@@ -59,26 +60,64 @@ void broadcast_binary_into_t(const Tensor& a, const Tensor& b, Tensor& out,
     return;
   }
 
-  // General path: odometer over the output index space.
-  std::vector<int64_t> idx(rank, 0);
+  // General path: one output row (the innermost dim) at a time, with an
+  // odometer over the outer dims. Rows are split across threads (each chunk
+  // re-seeds the odometer from its first row), and each row is one strided
+  // loop, contiguous-with-constant for the usual bias and row broadcasts.
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  const int64_t n = out.numel();
-  int64_t oa = 0, ob = 0;
-  for (int64_t lin = 0; lin < n; ++lin) {
-    po[lin] = f(pa[oa], pb[ob]);
-    // Increment odometer from the innermost dim.
-    for (int64_t d = rank - 1; d >= 0; --d) {
-      ++idx[d];
-      oa += sa[d];
-      ob += sb[d];
-      if (idx[d] < out_shape[d]) break;
-      idx[d] = 0;
-      oa -= sa[d] * out_shape[d];
-      ob -= sb[d] * out_shape[d];
-    }
+  if (rank == 0) {
+    po[0] = f(pa[0], pb[0]);
+    return;
   }
+  const int64_t inner = out_shape[static_cast<std::size_t>(rank - 1)];
+  if (inner == 0) return;
+  const int64_t rows = out.numel() / inner;
+  const int64_t ia = sa[static_cast<std::size_t>(rank - 1)];
+  const int64_t ib = sb[static_cast<std::size_t>(rank - 1)];
+  const int64_t grain = std::max<int64_t>(1, kElemwiseGrain / inner);
+  runtime::parallel_for(0, rows, grain, [&](int64_t r0, int64_t r1) {
+    std::vector<int64_t> idx(static_cast<std::size_t>(rank - 1), 0);
+    int64_t oa = 0, ob = 0;
+    int64_t rem = r0;
+    for (int64_t d = rank - 2; d >= 0; --d) {
+      const auto du = static_cast<std::size_t>(d);
+      idx[du] = rem % out_shape[du];
+      rem /= out_shape[du];
+      oa += idx[du] * sa[du];
+      ob += idx[du] * sb[du];
+    }
+    for (int64_t r = r0; r < r1; ++r) {
+      float* o = po + r * inner;
+      const float* ra = pa + oa;
+      const float* rb = pb + ob;
+      if (ia == 1 && ib == 0) {
+        const float y = rb[0];
+        SAUFNO_IVDEP
+        for (int64_t j = 0; j < inner; ++j) o[j] = f(ra[j], y);
+      } else if (ia == 0 && ib == 1) {
+        const float x = ra[0];
+        SAUFNO_IVDEP
+        for (int64_t j = 0; j < inner; ++j) o[j] = f(x, rb[j]);
+      } else if (ia == 1 && ib == 1) {
+        SAUFNO_IVDEP
+        for (int64_t j = 0; j < inner; ++j) o[j] = f(ra[j], rb[j]);
+      } else {
+        for (int64_t j = 0; j < inner; ++j) o[j] = f(ra[j * ia], rb[j * ib]);
+      }
+      for (int64_t d = rank - 2; d >= 0; --d) {
+        const auto du = static_cast<std::size_t>(d);
+        ++idx[du];
+        oa += sa[du];
+        ob += sb[du];
+        if (idx[du] < out_shape[du]) break;
+        idx[du] = 0;
+        oa -= sa[du] * out_shape[du];
+        ob -= sb[du] * out_shape[du];
+      }
+    }
+  });
 }
 
 template <typename F>
@@ -618,13 +657,22 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-void bmm_into(const Tensor& a, const Tensor& b, Tensor& out) {
+namespace {
+
+/// The one batched-matmul loop behind bmm, bmm_t and bmm's backward:
+/// op(a) x op(b) per batch, each operand read through gemm strides (so a
+/// transposed operand is never materialized), batch-1 operands broadcast.
+void bmm_strided_into(const Tensor& a, bool trans_a, const Tensor& b,
+                      bool trans_b, Tensor& out) {
   SAUFNO_CHECK(a.dim() == 3 && b.dim() == 3, "bmm requires 3-D tensors");
   const int64_t ba = a.shape()[0], bb = b.shape()[0];
   SAUFNO_CHECK(ba == bb || ba == 1 || bb == 1, "bmm batch mismatch");
   const int64_t batch = std::max(ba, bb);
-  const int64_t m = a.shape()[1], k = a.shape()[2], n = b.shape()[2];
-  SAUFNO_CHECK(b.shape()[1] == k, "bmm inner dims mismatch");
+  const int64_t ar = a.shape()[1], ac = a.shape()[2];
+  const int64_t br = b.shape()[1], bc = b.shape()[2];
+  const int64_t m = trans_a ? ac : ar, k = trans_a ? ar : ac;
+  const int64_t n = trans_b ? br : bc;
+  SAUFNO_CHECK((trans_b ? bc : br) == k, "bmm inner dims mismatch");
   SAUFNO_CHECK(out.numel() == batch * m * n,
                "bmm destination numel mismatch");
   // Parallel over the batch; the nested gemm's own parallel_for runs inline
@@ -633,29 +681,108 @@ void bmm_into(const Tensor& a, const Tensor& b, Tensor& out) {
   // one inline chunk and the gemm row-block parallelism takes over.
   runtime::parallel_for(0, batch, 1, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
-      const float* pa = a.data() + (ba == 1 ? 0 : i) * m * k;
-      const float* pb = b.data() + (bb == 1 ? 0 : i) * k * n;
-      gemm(pa, pb, out.data() + i * m * n, m, n, k, /*accumulate=*/false);
+      const float* pa = a.data() + (ba == 1 ? 0 : i) * ar * ac;
+      const float* pb = b.data() + (bb == 1 ? 0 : i) * br * bc;
+      const MatView va = trans_a ? MatView{pa, 1, ac} : MatView{pa, ac, 1};
+      const MatView vb = trans_b ? MatView{pb, 1, bc} : MatView{pb, bc, 1};
+      gemm(va, vb, out.data() + i * m * n, n, m, n, k, /*accumulate=*/false);
     }
   });
 }
 
+}  // namespace
+
+void bmm_into(const Tensor& a, const Tensor& b, Tensor& out) {
+  bmm_strided_into(a, false, b, false, out);
+}
+
 Tensor bmm(const Tensor& a, const Tensor& b) {
+  return bmm_t(a, false, b, false);
+}
+
+Tensor bmm_t(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b) {
   SAUFNO_CHECK(a.dim() == 3 && b.dim() == 3, "bmm requires 3-D tensors");
   const int64_t batch = std::max(a.shape()[0], b.shape()[0]);
-  Tensor out({batch, a.shape()[1], b.shape()[2]});
-  bmm_into(a, b, out);
+  Tensor out({batch, a.shape()[trans_a ? 2 : 1], b.shape()[trans_b ? 1 : 2]});
+  bmm_strided_into(a, trans_a, b, trans_b, out);
   return out;
 }
 
 namespace {
 
-/// Shared softmax core: `scale != 1` first materializes row * scale into
-/// the output row with the exact mul_scalar expression, then the standard
-/// max/exp/sum/scale sequence runs on the output row — so the fused scaled
-/// form is bit-identical to mul_scalar followed by softmax.
-void softmax_rows_into(const Tensor& a, bool scaled, float scale,
-                       Tensor& out) {
+/// The softmax row body shared by softmax_lastdim and attention, over
+/// `rows` consecutive rows of length n (`out` may equal `in`). Max, exp and
+/// rescale run through the SIMD helpers (max is associative, exp and scale
+/// are per-element, so lane order cannot change the result). Each row's sum
+/// stays a scalar double accumulated in row order — that order is part of
+/// the determinism contract. The sums of up to kSumRows rows advance
+/// together, one element of each per step: the chains are independent, so
+/// they overlap in the FPU instead of each waiting out the add latency,
+/// and every chain still adds its row in order.
+void softmax_rows(const float* in, float* out, int64_t rows, int64_t n) {
+  constexpr int64_t kSumRows = 8;
+  for (int64_t r0 = 0; r0 < rows; r0 += kSumRows) {
+    const int64_t g = std::min(kSumRows, rows - r0);
+    for (int64_t r = 0; r < g; ++r) {
+      const float* row = in + (r0 + r) * n;
+      simd::vexp(row, simd::reduce_max(row, n), out + (r0 + r) * n, n);
+    }
+    const float* e = out + r0 * n;
+    double s[kSumRows] = {};
+    if (g == kSumRows) {
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t r = 0; r < kSumRows; ++r) s[r] += e[r * n + i];
+      }
+    } else {
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t r = 0; r < g; ++r) s[r] += e[r * n + i];
+      }
+    }
+    for (int64_t r = 0; r < g; ++r) {
+      simd::scale(out + (r0 + r) * n, n, static_cast<float>(1.0 / s[r]));
+    }
+  }
+}
+
+/// Attention row block: the query positions of one block, as many as fit
+/// one gemm of a few hundred KB at N = 4096. Fixed, so the block bounds
+/// (and the work split) depend on the shape only.
+constexpr int64_t kAttnRows = 64;
+
+/// P[r, j] = softmax_j(scale * sum_t q[t, i0 + r] * k[t, j]) for the `rows`
+/// query positions starting at i0 of one batch item (q, k: [d, n]; p:
+/// [rows, n]). The scores are one gemm with q read transposed in place; the
+/// scale is its own rounding step before the softmax, exactly as a
+/// mul_scalar followed by softmax_lastdim.
+void attention_probs(const float* q, const float* k, int64_t d, int64_t n,
+                     int64_t i0, int64_t rows, float scale, float* p) {
+  gemm(MatView{q + i0, 1, n}, MatView{k, n, 1}, p, n, rows, n, d,
+       /*accumulate=*/false);
+  SAUFNO_IVDEP
+  for (int64_t j = 0; j < rows * n; ++j) p[j] = p[j] * scale;
+  softmax_rows(p, p, rows, n);
+}
+
+struct AttnDims {
+  int64_t batch, d, c, n;
+};
+
+AttnDims attention_dims(const Tensor& q, const Tensor& k, const Tensor& v) {
+  SAUFNO_CHECK(q.dim() == 3 && k.dim() == 3 && v.dim() == 3,
+               "attention requires 3-D q, k, v");
+  SAUFNO_CHECK(k.shape() == q.shape(),
+               "attention: k " + shape_str(k.shape()) + " must match q " +
+                   shape_str(q.shape()));
+  SAUFNO_CHECK(v.shape()[0] == q.shape()[0] && v.shape()[2] == q.shape()[2],
+               "attention: v " + shape_str(v.shape()) +
+                   " must share batch and positions with q " +
+                   shape_str(q.shape()));
+  return {q.shape()[0], q.shape()[1], v.shape()[1], q.shape()[2]};
+}
+
+}  // namespace
+
+void softmax_lastdim_into(const Tensor& a, Tensor& out) {
   const int64_t rank = a.dim();
   SAUFNO_CHECK(rank >= 1, "softmax of scalar");
   const int64_t n = a.shape()[rank - 1];
@@ -667,41 +794,105 @@ void softmax_rows_into(const Tensor& a, bool scaled, float scale,
   const int64_t grain =
       std::max<int64_t>(1, kElemwiseGrain / std::max<int64_t>(1, n));
   runtime::parallel_for(0, rows, grain, [&](int64_t r0, int64_t r1) {
-  for (int64_t r = r0; r < r1; ++r) {
-    const float* row = p + r * n;
-    float* orow = q + r * n;
-    if (scaled) {
-      SAUFNO_IVDEP
-      for (int64_t i = 0; i < n; ++i) orow[i] = row[i] * scale;
-      row = orow;
-    }
-    // Max, exp, and rescale run through the SIMD helpers (max is
-    // associative, exp and scale are per-element, so lane order cannot
-    // change the result). The sum stays a scalar double accumulated in row
-    // order — that order is part of the determinism contract.
-    const float mx = simd::reduce_max(row, n);
-    simd::vexp(row, mx, orow, n);
-    double s = 0.0;
-    for (int64_t i = 0; i < n; ++i) s += orow[i];
-    simd::scale(orow, n, static_cast<float>(1.0 / s));
-  }
+    softmax_rows(p + r0 * n, q + r0 * n, r1 - r0, n);
   });
-}
-
-}  // namespace
-
-void softmax_lastdim_into(const Tensor& a, Tensor& out) {
-  softmax_rows_into(a, /*scaled=*/false, 1.f, out);
-}
-
-void scaled_softmax_lastdim_into(const Tensor& a, float scale, Tensor& out) {
-  softmax_rows_into(a, /*scaled=*/true, scale, out);
 }
 
 Tensor softmax_lastdim(const Tensor& a) {
   Tensor out(a.shape());
   softmax_lastdim_into(a, out);
   return out;
+}
+
+void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
+                    float scale, Tensor& out) {
+  const AttnDims s = attention_dims(q, k, v);
+  SAUFNO_CHECK(out.numel() == s.batch * s.c * s.n,
+               "attention destination numel mismatch");
+  if (s.n == 0) return;
+  const int64_t nblk = (s.n + kAttnRows - 1) / kAttnRows;
+  const int64_t rows_max = std::min(kAttnRows, s.n);
+  // One chunk per (batch item, row block). Each writes its own columns of
+  // the output, so the split cannot change a bit.
+  runtime::parallel_for(0, s.batch * nblk, 1, [&](int64_t t0, int64_t t1) {
+    runtime::Scratch<float> p(static_cast<std::size_t>(rows_max * s.n));
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t b = t / nblk;
+      const int64_t i0 = (t % nblk) * kAttnRows;
+      const int64_t rows = std::min(kAttnRows, s.n - i0);
+      attention_probs(q.data() + b * s.d * s.n, k.data() + b * s.d * s.n, s.d,
+                      s.n, i0, rows, scale, p.data());
+      // O[:, i0:i0+rows] = V * P^T, with P read transposed in place.
+      gemm(MatView{v.data() + b * s.c * s.n, s.n, 1},
+           MatView{p.data(), 1, s.n}, out.data() + b * s.c * s.n + i0, s.n,
+           s.c, rows, s.n, /*accumulate=*/false);
+    }
+  });
+}
+
+Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 float scale) {
+  const AttnDims s = attention_dims(q, k, v);
+  Tensor out({s.batch, s.c, s.n});
+  attention_into(q, k, v, scale, out);
+  return out;
+}
+
+void attention_backward(const Tensor& q, const Tensor& k, const Tensor& v,
+                        float scale, const Tensor& g, Tensor& dq, Tensor& dk,
+                        Tensor& dv) {
+  const AttnDims s = attention_dims(q, k, v);
+  SAUFNO_CHECK(g.shape() == v.shape() && dv.shape() == v.shape() &&
+                   dq.shape() == q.shape() && dk.shape() == q.shape(),
+               "attention_backward: gradient shape mismatch");
+  dk.fill_(0.f);
+  dv.fill_(0.f);
+  if (s.n == 0) return;
+  const int64_t rows_max = std::min(kAttnRows, s.n);
+  const int64_t n = s.n;
+  // dK and dV sum over every row block, so the blocks of one batch item run
+  // in order on one chunk; batch items are independent.
+  runtime::parallel_for(0, s.batch, 1, [&](int64_t b0, int64_t b1) {
+    runtime::Scratch<float> p(static_cast<std::size_t>(rows_max * n));
+    runtime::Scratch<float> ds(static_cast<std::size_t>(rows_max * n));
+    for (int64_t b = b0; b < b1; ++b) {
+      const float* qb = q.data() + b * s.d * n;
+      const float* kb = k.data() + b * s.d * n;
+      const float* vb = v.data() + b * s.c * n;
+      const float* gb = g.data() + b * s.c * n;
+      float* dqb = dq.data() + b * s.d * n;
+      float* dkb = dk.data() + b * s.d * n;
+      float* dvb = dv.data() + b * s.c * n;
+      for (int64_t i0 = 0; i0 < n; i0 += kAttnRows) {
+        const int64_t rows = std::min(kAttnRows, n - i0);
+        attention_probs(qb, kb, s.d, n, i0, rows, scale, p.data());
+        // dP = G_blk^T V ([rows, n]), into ds.
+        gemm(MatView{gb + i0, 1, n}, MatView{vb, n, 1}, ds.data(), n, rows, n,
+             s.c, /*accumulate=*/false);
+        // dV += G_blk P.
+        gemm(MatView{gb + i0, n, 1}, MatView{p.data(), n, 1}, dvb, n, s.c, n,
+             rows, /*accumulate=*/true);
+        // dS = scale * P .* (dP - rowsum(dP .* P)); the scale of the scores
+        // rides on dS so both dQ and dK below pick it up.
+        for (int64_t r = 0; r < rows; ++r) {
+          const float* pr = p.data() + r * n;
+          float* dr = ds.data() + r * n;
+          double dot = 0.0;
+          for (int64_t j = 0; j < n; ++j) dot += dr[j] * pr[j];
+          const float fdot = static_cast<float>(dot);
+          for (int64_t j = 0; j < n; ++j) {
+            dr[j] = scale * pr[j] * (dr[j] - fdot);
+          }
+        }
+        // dQ[:, i0:i0+rows] = K dS^T.
+        gemm(MatView{kb, n, 1}, MatView{ds.data(), 1, n}, dqb + i0, n, s.d,
+             rows, n, /*accumulate=*/false);
+        // dK += Q_blk dS.
+        gemm(MatView{qb + i0, n, 1}, MatView{ds.data(), n, 1}, dkb, n, s.d,
+             n, rows, /*accumulate=*/true);
+      }
+    }
+  });
 }
 
 void resize_bilinear_into(const Tensor& a, int64_t oh, int64_t ow,

@@ -68,6 +68,29 @@ Tensor pad2d(const Tensor& a, int64_t top, int64_t bottom, int64_t left,
 Tensor matmul(const Tensor& a, const Tensor& b);
 /// Batched matmul [B,M,K] x [B,K,N] -> [B,M,N]; B may broadcast (1 vs B).
 Tensor bmm(const Tensor& a, const Tensor& b);
+/// bmm with either operand read transposed in place: op(a) x op(b), where
+/// op swaps the last two dims when its flag is set. No transposed copy is
+/// made (gemm reads the strides), and the result is bit-identical to bmm
+/// on explicitly permuted operands.
+Tensor bmm_t(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b);
+
+/// Spatial self-attention (the SAU-FNO attention block, Eq. 9-10):
+///   P_b = softmax_lastdim(scale * q_b^T k_b)   ([N, N] per batch item)
+///   out_b = v_b P_b^T
+/// for q, k: [B, d, N] and v: [B, C, N] -> [B, C, N]. Runs in row blocks of
+/// query positions, so the [N, N] matrix never exists: per block it is one
+/// gemm for the scores, the softmax_lastdim row body, and one gemm against
+/// v. Bit-identical to the composed chain bmm(permute(q), k) -> mul_scalar
+/// -> softmax_lastdim -> bmm(v, permute(P)).
+Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 float scale);
+/// Gradients of attention() for the upstream gradient g [B, C, N]: writes
+/// dq, dk ([B, d, N]) and dv ([B, C, N]), which must be allocated with
+/// those shapes (contents are overwritten). Recomputes each row block of
+/// the softmax, so it too holds no [N, N] tensor.
+void attention_backward(const Tensor& q, const Tensor& k, const Tensor& v,
+                        float scale, const Tensor& g, Tensor& dq, Tensor& dk,
+                        Tensor& dv);
 
 /// Numerically-stable softmax along the last dimension.
 Tensor softmax_lastdim(const Tensor& a);
@@ -112,6 +135,8 @@ void pad2d_into(const Tensor& a, int64_t top, int64_t bottom, int64_t left,
 void matmul_into(const Tensor& a, const Tensor& b, Tensor& out);
 void bmm_into(const Tensor& a, const Tensor& b, Tensor& out);
 void softmax_lastdim_into(const Tensor& a, Tensor& out);
+void attention_into(const Tensor& q, const Tensor& k, const Tensor& v,
+                    float scale, Tensor& out);
 void sum_dim_into(const Tensor& a, int64_t dim, bool keepdim, Tensor& out);
 void resize_bilinear_into(const Tensor& a, int64_t oh, int64_t ow,
                           Tensor& out);
@@ -128,10 +153,5 @@ float act_apply(int act, float v);
 /// (same expressions, same order), so fusing never changes bits.
 void fused_add_act_into(const Tensor& a, const Tensor& b, const Tensor* c,
                         int act, Tensor& out);
-/// Fused out = softmax_lastdim(a * scale): the scaled row is materialized
-/// into `out` first and the softmax then runs the identical max/exp/sum/
-/// scale sequence as softmax_lastdim_into — bit-identical to mul_scalar
-/// followed by softmax.
-void scaled_softmax_lastdim_into(const Tensor& a, float scale, Tensor& out);
 
 }  // namespace saufno

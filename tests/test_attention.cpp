@@ -1,7 +1,11 @@
 #include "core/attention.h"
 
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "runtime/thread_pool.h"
 #include "testing.h"
 #include "tensor/tensor_ops.h"
 
@@ -88,6 +92,51 @@ TEST(Attention, GradcheckSmall) {
         return ops::sum_all(ops::square(attn.forward(ls[0])));
       },
       {x}, /*eps=*/1e-2f, /*rtol=*/4e-2f, /*atol=*/4e-3f);
+}
+
+// The op chain the attention block ran before ops::attention: the full
+// [B, N, N] score tensor, scaled, softmaxed and transposed.
+Tensor composed_attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          float scale) {
+  Tensor scores = bmm(permute(q, {0, 2, 1}), k);
+  Tensor p = softmax_lastdim(mul_scalar(scores, scale));
+  return bmm(v, permute(p, {0, 2, 1}));
+}
+
+TEST(AttentionOp, BitIdenticalToComposedChainAtAnyThreadCount) {
+  // Row blocks are 64 query positions: cover N % 64 != 0, N < 64, B = 1,
+  // d != C, and N > 512 so the output gemm crosses a K-block.
+  const struct { int64_t b, d, c, n; } cases[] = {
+      {2, 4, 6, 100}, {1, 3, 5, 20}, {3, 8, 8, 128}, {1, 16, 12, 600}};
+  runtime::ThreadPool& pool = runtime::ThreadPool::instance();
+  const int ambient = pool.num_threads();
+  for (const auto& c : cases) {
+    SCOPED_TRACE("B=" + std::to_string(c.b) + " d=" + std::to_string(c.d) +
+                 " C=" + std::to_string(c.c) + " N=" + std::to_string(c.n));
+    Rng rng(0xA77EULL + static_cast<std::uint64_t>(c.n));
+    Tensor q = Tensor::randn({c.b, c.d, c.n}, rng);
+    Tensor k = Tensor::randn({c.b, c.d, c.n}, rng);
+    Tensor v = Tensor::randn({c.b, c.c, c.n}, rng);
+    const float scale = 1.f / std::sqrt(static_cast<float>(c.d));
+    pool.resize(1);
+    const Tensor want = composed_attention(q, k, v, scale);
+    for (int threads : {1, 2, 8}) {
+      pool.resize(threads);
+      const Tensor got = attention(q, k, v, scale);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               sizeof(float) *
+                                   static_cast<std::size_t>(want.numel())))
+          << "threads=" << threads;
+    }
+  }
+  pool.resize(ambient);
+}
+
+TEST(AttentionOp, RejectsMismatchedOperands) {
+  Tensor q({1, 2, 5}), k({1, 2, 4}), v({1, 3, 5});
+  EXPECT_THROW(attention(q, k, v, 1.f), std::runtime_error);
+  EXPECT_THROW(attention(q, q, Tensor({2, 3, 5}), 1.f), std::runtime_error);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "autograd/ops.h"
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "testing.h"
@@ -302,8 +304,8 @@ TEST(GradCheck, AbsAwayFromKink) {
 }
 
 TEST(GradCheck, Permute4d) {
-  // The 4-D layouts the attention path shuffles through; the rank-3 check
-  // above can't catch a stride bug specific to higher ranks.
+  // 4-D layouts; the rank-3 check above can't catch a stride bug specific
+  // to higher ranks.
   Rng rng(27);
   Var a = leaf({2, 3, 2, 4}, rng);
   expect_gradients_match(
@@ -316,9 +318,9 @@ TEST(GradCheck, Permute4d) {
 }
 
 TEST(GradCheck, AttentionComposition) {
-  // bmm -> softmax -> bmm with a permuted key, the exact op chain inside
-  // core::Attention. Checks the INTERACTION of the three backward rules,
-  // which the per-op checks above cannot.
+  // bmm -> softmax -> bmm with a permuted key, composed from separate ops.
+  // Checks the INTERACTION of the three backward rules, which the per-op
+  // checks above cannot.
   Rng rng(28);
   Var q = leaf({2, 3, 4}, rng);
   Var k = leaf({2, 3, 4}, rng);
@@ -330,6 +332,54 @@ TEST(GradCheck, AttentionComposition) {
         return ops::sum_all(ops::square(ops::bmm(attn, ls[2])));
       },
       {q, k, v}, /*eps=*/1e-2f, /*rtol=*/3e-2f, /*atol=*/3e-3f);
+}
+
+TEST(GradCheck, AttentionOp) {
+  // The fused op recomputes each 64-row block of the softmax in its
+  // backward; N = 70 spans two blocks, one of them partial, and d != C.
+  Rng rng(29);
+  Var q = leaf({2, 2, 70}, rng);
+  Var k = leaf({2, 2, 70}, rng);
+  Var v = leaf({2, 3, 70}, rng);
+  expect_gradients_match(
+      [](std::vector<Var>& ls) {
+        return ops::sum_all(
+            ops::square(ops::attention(ls[0], ls[1], ls[2], 0.7f)));
+      },
+      {q, k, v}, /*eps=*/1e-2f, /*rtol=*/3e-2f, /*atol=*/3e-3f);
+}
+
+TEST(BmmBackward, BitIdenticalToMaterializedTransposeFormula) {
+  // bmm's backward reads B^T and A^T in place through gemm strides; the
+  // gradients must equal, bit for bit, the formula on permuted copies
+  // (gA = g B^T, gB = A^T g, batch-1 operands reduced by sum).
+  const struct { Shape a, b; } cases[] = {
+      {{3, 5, 7}, {3, 7, 9}},
+      {{1, 5, 7}, {3, 7, 9}},
+      {{3, 5, 7}, {1, 7, 9}},
+      {{2, 13, 600}, {2, 600, 17}}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(shape_str(c.a) + " x " + shape_str(c.b));
+    Rng rng(31);
+    Var a = leaf(c.a, rng);
+    Var b = leaf(c.b, rng);
+    Var y = ops::bmm(a, b);
+    Tensor g = Tensor::randn(y.shape(), rng);
+    // d(sum(y * g))/dy is exactly g.
+    ops::sum_all(ops::mul(y, Var(g))).backward();
+
+    Tensor want_ga = bmm(g, permute(b.value(), {0, 2, 1}));
+    Tensor want_gb = bmm(permute(a.value(), {0, 2, 1}), g);
+    if (c.a[0] == 1) want_ga = sum_dim(want_ga, 0, /*keepdim=*/true);
+    if (c.b[0] == 1) want_gb = sum_dim(want_gb, 0, /*keepdim=*/true);
+    auto bytes = [](const Tensor& t) {
+      return sizeof(float) * static_cast<std::size_t>(t.numel());
+    };
+    ASSERT_EQ(a.grad().shape(), want_ga.shape());
+    ASSERT_EQ(b.grad().shape(), want_gb.shape());
+    EXPECT_EQ(0, std::memcmp(a.grad().data(), want_ga.data(), bytes(want_ga)));
+    EXPECT_EQ(0, std::memcmp(b.grad().data(), want_gb.data(), bytes(want_gb)));
+  }
 }
 
 TEST(GradCheck, ResizeBilinear) {

@@ -1,6 +1,7 @@
 #include "nn/module.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -76,6 +77,38 @@ TEST(PointwiseConv, GradFlowsToWeights) {
   loss.backward();
   for (auto& p : pw.parameters()) {
     EXPECT_GT(sum_all(abs(p.grad())), 0.f);
+  }
+}
+
+TEST(PointwiseConv, BitIdenticalToChannelsLastMatmul) {
+  // The NCHW bmm form W^T x X must reproduce the channels-last form it
+  // replaced (permute to NHWC, x W + b, permute back) bit for bit, with and
+  // without bias.
+  for (bool bias : {true, false}) {
+    SCOPED_TRACE(bias ? "bias" : "no bias");
+    Rng rng(9);
+    nn::PointwiseConv pw(5, 7, rng, bias);
+    auto params = pw.named_parameters();
+    Tensor w, b;
+    for (auto& [name, p] : params) {
+      if (name == "weight") w = p.value();
+      if (name == "bias") {
+        // A zero bias would hide an indexing bug in the broadcast add.
+        b = p.value();
+        const Tensor r = Tensor::randn(b.shape(), rng);
+        for (int64_t i = 0; i < b.numel(); ++i) b.at(i) = r.at(i);
+      }
+    }
+    Tensor x = Tensor::randn({2, 5, 3, 6}, rng);
+    Tensor t = permute(x, {0, 2, 3, 1}).reshape({2 * 3 * 6, 5});
+    t = matmul(t, w);
+    if (bias) t = add(t, b);
+    Tensor want = permute(t.reshape({2, 3, 6, 7}), {0, 3, 1, 2});
+    Tensor got = pw.forward(Var(x, false)).value();
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             sizeof(float) *
+                                 static_cast<std::size_t>(want.numel())));
   }
 }
 

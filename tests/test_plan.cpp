@@ -71,7 +71,13 @@ TEST(PlanVsInterp, AllZooModelsBitIdenticalOnPow2AndNonPow2) {
   }
 }
 
-TEST(PlanCompile, FusesBiasActAndScaledSoftmaxInSauFno) {
+int64_t count_op(const plan::Plan& p, plan::OpCode op) {
+  int64_t n = 0;
+  for (const plan::Instr& ins : p.instrs) n += ins.op == op ? 1 : 0;
+  return n;
+}
+
+TEST(PlanCompile, FusesBiasActAndRunsAttentionAsOneOpInSauFno) {
   auto model = train::make_model("SAU-FNO-micro", 3, 1, 7);
   model->set_training(false);
   plan::PlanRunner runner(model, plan::Mode::kOn);
@@ -80,11 +86,39 @@ TEST(PlanCompile, FusesBiasActAndScaledSoftmaxInSauFno) {
   runner.forward(Tensor::randn(shape, rng));
   auto exec = runner.executor_for(shape);
   ASSERT_NE(exec, nullptr);
-  // gelu(K(v) + W(v)) in every Fourier layer and softmax(scores / sqrt(d))
-  // in the attention block both fuse.
+  // gelu(K(v) + W(v)) in every Fourier layer fuses, and the attention block
+  // is one kAttention instruction: its scores, softmax and transposes are
+  // never separate instructions.
   EXPECT_GT(exec->plan().fused_ops, 0);
+  EXPECT_EQ(count_op(exec->plan(), plan::OpCode::kAttention), 1);
+  EXPECT_EQ(count_op(exec->plan(), plan::OpCode::kSoftmax), 0);
+  EXPECT_EQ(count_op(exec->plan(), plan::OpCode::kMulScalar), 0);
   EXPECT_GT(exec->plan().arena_floats, 0);
   EXPECT_FALSE(plan::to_string(exec->plan()).empty());
+}
+
+TEST(PlanCompile, SauFnoMicroPlanHasNoPermuteAndNoQuadraticArena) {
+  // Pointwise convs run on NCHW with their transposed weight folded, and
+  // attention holds only row blocks of its score matrix. So the plan moves
+  // no layout at run time, and its arena grows with the grid, not with the
+  // square of it: 4x the positions must cost well under 8x the arena (an
+  // N x N score tensor made it ~16x).
+  auto model = train::make_model("SAU-FNO-micro", 3, 1, 7);
+  model->set_training(false);
+  plan::PlanRunner runner(model, plan::Mode::kOn);
+  Rng rng = testing::test_rng();
+  int64_t arena[2] = {0, 0};
+  const Shape shapes[2] = {Shape{1, 3, 16, 16}, Shape{1, 3, 32, 32}};
+  for (int i = 0; i < 2; ++i) {
+    runner.forward(Tensor::randn(shapes[i], rng));
+    auto exec = runner.executor_for(shapes[i]);
+    ASSERT_NE(exec, nullptr);
+    EXPECT_EQ(count_op(exec->plan(), plan::OpCode::kPermute), 0)
+        << plan::to_string(exec->plan());
+    arena[i] = exec->plan().arena_floats;
+  }
+  EXPECT_LT(arena[1], 8 * arena[0])
+      << "arena 16x16: " << arena[0] << " floats, 32x32: " << arena[1];
 }
 
 TEST(PlanCompile, FoldsConstantTrunkInDeepOHeat) {
@@ -117,15 +151,6 @@ TEST(PlanKernels, FusedAddActBitIdenticalToUnfusedChain) {
   Tensor out2(s);
   fused_add_act_into(a, bias, nullptr, /*act=*/1, out2);
   expect_bitwise(out2, want2, "relu(a+bias)");
-}
-
-TEST(PlanKernels, ScaledSoftmaxBitIdenticalToMulScalarSoftmax) {
-  Rng rng = testing::test_rng();
-  Tensor a = Tensor::randn({2, 5, 7}, rng);
-  Tensor want = softmax_lastdim(mul_scalar(a, 0.37f));
-  Tensor out({2, 5, 7});
-  scaled_softmax_lastdim_into(a, 0.37f, out);
-  expect_bitwise(out, want, "softmax(0.37*a)");
 }
 
 TEST(PlanRunner, CompileOnlyValidatesButInterprets) {

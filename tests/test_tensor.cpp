@@ -1,10 +1,15 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "../bench/seed_gemm.h"
+#include "common/rng.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor_ops.h"
 
@@ -339,17 +344,63 @@ TEST(Gemm, BlockedMatchesSeedKernelOnDenseData) {
   }
 }
 
-TEST(Gemm, ForceSeedReferenceHookRoutesAndRestores) {
-  Rng rng(99);
-  Tensor a = Tensor::randn({4, 3}, rng);
-  Tensor b = Tensor::randn({3, 4}, rng);
-  Tensor c_ref({4, 4}), c_hook({4, 4});
-  gemm_seed_reference(a.data(), b.data(), c_ref.data(), 4, 4, 3, false);
-  gemm_force_seed_reference(true);
-  gemm(a.data(), b.data(), c_hook.data(), 4, 4, 3, false);
-  gemm_force_seed_reference(false);
-  // Routed results must be bitwise the seed kernel's.
-  for (int64_t i = 0; i < 16; ++i) EXPECT_EQ(c_hook.at(i), c_ref.at(i));
+TEST(Gemm, StridedOperandsBitIdenticalToTransposedCopies) {
+  // A transposed or sub-block operand is absorbed by the packing, so the
+  // per-element chain is unchanged: memcmp-equal to gemm on explicit copies.
+  // m, n, k avoid multiples of MR = 6 and NR = 16, and two k exceed the
+  // 512-wide K-block.
+  const struct { int64_t m, n, k; } shapes[] = {
+      {7, 19, 600}, {13, 33, 5}, {1, 17, 1030}, {25, 1, 513}};
+  for (const auto& s : shapes) {
+    SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
+                 std::to_string(s.k));
+    Rng rng(0xA11CEULL + static_cast<std::uint64_t>(s.m * 7 + s.n));
+    Tensor a = Tensor::randn({s.m, s.k}, rng);
+    Tensor b = Tensor::randn({s.k, s.n}, rng);
+    Tensor at = transpose2d(a), bt = transpose2d(b);
+    Tensor want({s.m, s.n});
+    gemm(a.data(), b.data(), want.data(), s.m, s.n, s.k, false);
+    const std::size_t bytes =
+        sizeof(float) * static_cast<std::size_t>(s.m * s.n);
+
+    const MatView va{a.data(), s.k, 1}, vat{at.data(), 1, s.m};
+    const MatView vb{b.data(), s.n, 1}, vbt{bt.data(), 1, s.k};
+    for (const auto& [ta, tb] : {std::pair{true, false}, std::pair{false, true},
+                                 std::pair{true, true}}) {
+      Tensor got({s.m, s.n});
+      gemm(ta ? vat : va, tb ? vbt : vb, got.data(), s.n, s.m, s.n, s.k,
+           false);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), bytes))
+          << "trans_a=" << ta << " trans_b=" << tb;
+    }
+
+    // Sub-block operands and a C with row stride: A sits at (1, 2) of a
+    // wider matrix, C at column 3 of rows padded to n + 5.
+    const int64_t lda = s.k + 3, ldc = s.n + 5;
+    Tensor abig({s.m + 2, lda});
+    for (int64_t i = 0; i < s.m; ++i) {
+      for (int64_t kk = 0; kk < s.k; ++kk) {
+        abig.at((i + 1) * lda + kk + 2) = a.at(i * s.k + kk);
+      }
+    }
+    Tensor cbig = Tensor::full({s.m, ldc}, 7.f);
+    gemm(MatView{abig.data() + lda + 2, lda, 1}, vbt, cbig.data() + 3, ldc,
+         s.m, s.n, s.k, false);
+    for (int64_t i = 0; i < s.m; ++i) {
+      EXPECT_EQ(0, std::memcmp(cbig.data() + i * ldc + 3, want.data() + i * s.n,
+                               sizeof(float) * static_cast<std::size_t>(s.n)))
+          << "row " << i;
+      for (int64_t j : {0, 1, 2}) EXPECT_EQ(cbig.at(i * ldc + j), 7.f);
+      EXPECT_EQ(cbig.at(i * ldc + 3 + s.n), 7.f);
+    }
+
+    // accumulate=true through strided views adds exactly like the
+    // contiguous form.
+    Tensor acc_want = want.clone(), acc_got = want.clone();
+    gemm(a.data(), b.data(), acc_want.data(), s.m, s.n, s.k, true);
+    gemm(vat, vbt, acc_got.data(), s.n, s.m, s.n, s.k, true);
+    EXPECT_EQ(0, std::memcmp(acc_got.data(), acc_want.data(), bytes));
+  }
 }
 
 TEST(Gemm, EmptyKZeroesOrPreservesC) {
