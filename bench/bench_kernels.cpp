@@ -172,8 +172,9 @@ struct PlanBench {
   int64_t fused_kernels = 0;
   int64_t folded_ops = 0;
   // Per-phase split of the compile from PlanRunner::last_compile_breakdown:
-  // trace (the recorded forward — the dominant term), lower (graph
-  // extraction), passes (fusion/liveness/arena/leveling).
+  // trace (the recorded forward, which is the first call's interpreted
+  // forward — the dominant term), lower (graph extraction), passes
+  // (folding/fusion/liveness/arena).
   double compile_trace_ms = 0.0;
   double compile_lower_ms = 0.0;
   double compile_passes_ms = 0.0;
@@ -202,7 +203,7 @@ PlanBench bench_plan(bool smoke) {
 
   (void)interp.forward(x);  // warm FFT plans + arena freelists
   Timer t;
-  (void)planned.forward(x);  // first call traces + compiles + runs
+  (void)planned.forward(x);  // first call records its forward + compiles
   const double first_call = t.seconds();
 
   const auto [sec_interp, sec_plan] = median_interleaved(

@@ -36,9 +36,9 @@ RunnerMetrics& runner_metrics() {
 }  // namespace
 
 Mode mode_from_env() {
-  static const char* const kNames[] = {"off", "on", "compile-only"};
+  static const char* const kNames[] = {"off", "on"};
   return static_cast<Mode>(
-      env_choice("SAUFNO_PLAN", static_cast<int>(Mode::kOn), kNames, 3));
+      env_choice("SAUFNO_PLAN", static_cast<int>(Mode::kOn), kNames, 2));
 }
 
 const char* mode_name(Mode m) {
@@ -47,8 +47,6 @@ const char* mode_name(Mode m) {
       return "off";
     case Mode::kOn:
       return "on";
-    case Mode::kCompileOnly:
-      return "compile-only";
   }
   return "?";
 }
@@ -63,45 +61,61 @@ Tensor PlanRunner::interpret(const Tensor& input) {
   return model_->forward(Var(input)).value();
 }
 
-std::shared_ptr<PlanExecutor> PlanRunner::compile_shape(const Shape& shape) {
+Tensor PlanRunner::record_and_compile(const Tensor& input) {
   SAUFNO_TRACE_SPAN("plan.compile");
   const auto ms_since = [](std::chrono::steady_clock::time_point a,
                            std::chrono::steady_clock::time_point b) {
     return std::chrono::duration<double, std::milli>(b - a).count();
   };
+  const Shape& shape = input.shape();
+  RunnerMetrics& rm = runner_metrics();
   const auto t0 = std::chrono::steady_clock::now();
   NoGradGuard no_grad;
-  // Trace on a zero probe: the plan depends only on shapes, and the
-  // recorded kernels never branch on values.
-  Var in{Tensor(shape)};
+  // Record this request's own forward: the plan depends only on shapes
+  // (the recorded kernels never branch on values), and the output is the
+  // interpreter's by construction. A throw here propagates like an
+  // interpreted forward's would.
+  Var in(input);
   TraceSession sess(model_->named_parameters(), in);
   Var out = model_->forward(in);
   const auto t_traced = std::chrono::steady_clock::now();
+  std::shared_ptr<PlanExecutor> exec;
+  CompileBreakdown bd;
   if (!sess.ok()) {
     SAUFNO_WARN << "plan: falling back to interpreter for shape "
                 << shape_str(shape) << ": " << sess.error();
-    return nullptr;
+    rm.fallbacks.add();
+  } else {
+    try {
+      Plan lowered = sess.take_plan(out);
+      const auto t_lowered = std::chrono::steady_clock::now();
+      exec = std::make_shared<PlanExecutor>(compile(std::move(lowered)));
+      const auto t1 = std::chrono::steady_clock::now();
+      bd.trace_ms = ms_since(t0, t_traced);
+      bd.lower_ms = ms_since(t_traced, t_lowered);
+      bd.passes_ms = ms_since(t_lowered, t1);
+      bd.total_ms = ms_since(t0, t1);
+    } catch (const std::exception& e) {
+      // A compile throw says nothing about the shape (a fault, an
+      // allocation failure), so nothing is cached and the next forward of
+      // this shape records again. This one still has its output.
+      SAUFNO_WARN << "plan: compile failed for shape " << shape_str(shape)
+                  << " (serving the recorded forward's output): " << e.what();
+      rm.fallbacks.add();
+      return out.value();
+    }
+    rm.compile_ms.record(bd.total_ms);
+    rm.compile_trace_ms.record(bd.trace_ms);
+    rm.compile_lower_ms.record(bd.lower_ms);
+    rm.compile_passes_ms.record(bd.passes_ms);
   }
-  Plan lowered = sess.take_plan(out);
-  const auto t_lowered = std::chrono::steady_clock::now();
-  Plan compiled = compile(std::move(lowered));
-  const auto t1 = std::chrono::steady_clock::now();
-
-  CompileBreakdown bd;
-  bd.trace_ms = ms_since(t0, t_traced);
-  bd.lower_ms = ms_since(t_traced, t_lowered);
-  bd.passes_ms = ms_since(t_lowered, t1);
-  bd.total_ms = ms_since(t0, t1);
-  RunnerMetrics& rm = runner_metrics();
-  rm.compile_ms.record(bd.total_ms);
-  rm.compile_trace_ms.record(bd.trace_ms);
-  rm.compile_lower_ms.record(bd.lower_ms);
-  rm.compile_passes_ms.record(bd.passes_ms);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    last_breakdown_ = bd;
-  }
-  return std::make_shared<PlanExecutor>(std::move(compiled));
+  // Concurrent first users of a shape may all record; the first to publish
+  // wins and the others' plans are dropped.
+  std::lock_guard<std::mutex> lk(mu_);
+  if (exec != nullptr) last_breakdown_ = bd;
+  cache_.emplace(shape, std::move(exec));
+  rm.size.set(static_cast<int64_t>(cache_.size()));
+  return out.value();
 }
 
 PlanRunner::CompileBreakdown PlanRunner::last_compile_breakdown() const {
@@ -109,46 +123,31 @@ PlanRunner::CompileBreakdown PlanRunner::last_compile_breakdown() const {
   return last_breakdown_;
 }
 
-std::shared_ptr<PlanExecutor> PlanRunner::get_or_compile(const Shape& shape) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = cache_.find(shape);
-    if (it != cache_.end()) {
-      runner_metrics().hits.add();
-      return it->second;
-    }
-  }
-  runner_metrics().misses.add();
-  // Compile OUTSIDE the lock (same discipline as the FFT plan cache): a
-  // multi-second first compile must not stall forwards for other shapes.
-  // Concurrent first-users may both compile; the first to publish wins and
-  // the loser's work is dropped.
-  std::shared_ptr<PlanExecutor> exec;
-  try {
-    exec = compile_shape(shape);
-  } catch (const std::exception& e) {
-    // A throw says nothing about the shape (a fault, an allocation failure),
-    // so nothing is cached and the next forward of this shape compiles again.
-    SAUFNO_WARN << "plan: compile failed for shape " << shape_str(shape)
-                << " (interpreting instead): " << e.what();
-    return nullptr;
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  auto ins = cache_.emplace(shape, exec);
-  runner_metrics().size.set(static_cast<int64_t>(cache_.size()));
-  return ins.first->second;
-}
-
 Tensor PlanRunner::forward(const Tensor& input) {
   if (mode_ == Mode::kOff) return interpret(input);
-  std::shared_ptr<PlanExecutor> exec = get_or_compile(input.shape());
+  RunnerMetrics& rm = runner_metrics();
+  bool cached = false;
+  std::shared_ptr<PlanExecutor> exec;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = cache_.find(input.shape());
+    if (it != cache_.end()) {
+      cached = true;
+      exec = it->second;
+    }
+  }
+  if (!cached) {
+    // Record and compile OUTSIDE the lock (same discipline as the FFT plan
+    // cache): a long first forward must not stall forwards of other shapes.
+    rm.misses.add();
+    return record_and_compile(input);
+  }
+  rm.hits.add();
   if (exec == nullptr) {
-    // Negative cache entry (the shape traced to an unsupported op, logged
-    // once at compile time) or a compile that threw (logged, not cached).
-    runner_metrics().fallbacks.add();
+    // Negative entry: the shape traced to an unsupported op (logged once).
+    rm.fallbacks.add();
     return interpret(input);
   }
-  if (mode_ == Mode::kCompileOnly) return interpret(input);
   SAUFNO_TRACE_SPAN("plan.execute");
   return exec->run(input);
 }

@@ -104,10 +104,8 @@ InferenceEngine::InferenceEngine(std::shared_ptr<nn::Module> model,
   SAUFNO_CHECK(model_ != nullptr, "InferenceEngine needs a model");
   SAUFNO_CHECK(cfg_.max_batch >= 1, "max_batch must be >= 1");
   SAUFNO_CHECK(cfg_.max_wait_us >= 0, "max_wait_us must be >= 0");
-  SAUFNO_CHECK(cfg_.plan_mode >= -1 && cfg_.plan_mode <= 2,
-               "plan_mode must be -1 (env), 0 (off), 1 (on) or 2 "
-               "(compile-only)");
-  SAUFNO_CHECK(cfg_.shard_capacity >= 0, "shard_capacity must be >= 0");
+  SAUFNO_CHECK(cfg_.plan_mode >= -1 && cfg_.plan_mode <= 1,
+               "plan_mode must be -1 (env), 0 (off) or 1 (on)");
   SAUFNO_CHECK(cfg_.watchdog_timeout_ms >= 0,
                "watchdog_timeout_ms must be >= 0 (0 disables)");
   model_->set_training(false);
@@ -122,8 +120,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<nn::Module> model,
     cfg_.queue_capacity = env_int_in_range("SAUFNO_QUEUE_CAP", 1024, 0,
                                            1 << 20);
   }
-  queue_.set_capacity(static_cast<std::size_t>(cfg_.queue_capacity),
-                      static_cast<std::size_t>(cfg_.shard_capacity));
+  queue_.set_capacity(static_cast<std::size_t>(cfg_.queue_capacity));
   batch_ms_ewma_bits_.store(double_bits(1.0), std::memory_order_relaxed);
   SAUFNO_INFO << "engine: plan mode " << plan::mode_name(mode)
               << (cfg_.plan_mode < 0 ? " (SAUFNO_PLAN)" : " (config)")
@@ -242,21 +239,16 @@ std::future<Tensor> InferenceEngine::submit(Tensor power_map,
       return fut;
     case RequestQueue::PushStatus::kShutdown:
       throw ShutdownError("submit() raced with stop()");
-    case RequestQueue::PushStatus::kQueueFull:
-    case RequestQueue::PushStatus::kShardFull: {
+    case RequestQueue::PushStatus::kQueueFull: {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       EngineMetrics& em = engine_metrics();
       em.rejected.add();
       em.shed_bytes.add(bytes);
       const double retry_ms = estimated_retry_after_ms();
       em.retry_after_ms.record(retry_ms);
-      const bool shard = pr.status == RequestQueue::PushStatus::kShardFull;
       throw OverloadedError(
-          "engine overloaded: " +
-              std::string(shard ? "shape shard" : "queue") + " at capacity " +
-              std::to_string(shard && cfg_.shard_capacity > 0
-                                 ? cfg_.shard_capacity
-                                 : cfg_.queue_capacity) +
+          "engine overloaded: queue at capacity " +
+              std::to_string(cfg_.queue_capacity) +
               " (backlog " + std::to_string(pr.depth) +
               "); retry after ~" + std::to_string(retry_ms) + " ms" + who(),
           retry_ms);
@@ -429,7 +421,7 @@ void InferenceEngine::execute_range(std::vector<InferenceRequest>& batch,
                        request_desc(batch[lo]) + "]")));
     return;
   }
-  if (!cfg_.isolate_faults || depth > 12) {
+  if (depth > 12) {
     // Fan the failure out — but still name every request it lands on
     // (an anonymous batch-wide error was the old, useless behavior).
     for (std::size_t i = lo; i < hi; ++i) {
@@ -468,12 +460,12 @@ constexpr int64_t kMaxSplitGrid = 32 * 32;
 /// the pool lanes with at least 2 rows per partition, so every partition
 /// runs the SAME plan shape and tiny batches never shatter into per-row
 /// forwards.
-int64_t row_partitions(const Shape& sample, int64_t padded) {
+int64_t row_partitions(const Shape& sample, int64_t bsz) {
   if (sample[1] * sample[2] > kMaxSplitGrid) return 1;
   int64_t p = std::min<int64_t>(ThreadPool::instance().num_threads(),
-                                padded / 2);
+                                bsz / 2);
   p = std::max<int64_t>(1, p);
-  while (padded % p != 0) --p;
+  while (bsz % p != 0) --p;
   return p;
 }
 
@@ -484,13 +476,11 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
   const int64_t bsz = static_cast<int64_t>(hi - lo);
   const Shape& in_shape = batch[lo].input.shape();  // [C, H, W]
   const int64_t sample = numel_of(in_shape);
-  const int64_t padded =
-      cfg_.pad_to_full_batch ? std::max<int64_t>(cfg_.max_batch, bsz) : bsz;
 
   // Batch assembly runs through the workspace arena: after the first batch
   // of a given shape, stacking allocates nothing.
   Tensor stacked =
-      Tensor::scratch({padded, in_shape[0], in_shape[1], in_shape[2]});
+      Tensor::scratch({bsz, in_shape[0], in_shape[1], in_shape[2]});
   {
     SAUFNO_TRACE_SPAN("engine.assemble");
     for (int64_t i = 0; i < bsz; ++i) {
@@ -498,25 +488,13 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
                   batch[lo + static_cast<std::size_t>(i)].input.data(),
                   sizeof(float) * static_cast<std::size_t>(sample));
     }
-    if (padded > bsz) {
-      // Scratch tensors are uninitialized; padding rows must still be zero
-      // so they cannot perturb stats-free kernels or produce NaNs
-      // downstream.
-      std::memset(stacked.data() + bsz * sample, 0,
-                  sizeof(float) *
-                      static_cast<std::size_t>((padded - bsz) * sample));
-    }
   }
 
   SAUFNO_FAULT_POINT("forward");
 
   // Raw-in/kelvin-out: encode exactly like Trainer::predict does. Both
   // transforms are per-element affine maps, so encoding the stacked batch
-  // is bit-identical to encoding each sample alone. Padding rows do NOT
-  // stay zero in general — encode_inputs maps them to whatever the
-  // encoder sends 0 to — and their outputs are garbage; real rows are
-  // untouched because every kernel in this library is per-sample
-  // independent (pinned by the padded-vs-unpadded bitwise test).
+  // is bit-identical to encoding each sample alone.
   if (norm_) {
     SAUFNO_TRACE_SPAN("engine.normalize");
     stacked = norm_->encode_inputs(stacked);
@@ -529,11 +507,11 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
   // A batch of small samples is split into contiguous row ranges, each run
   // as its OWN forward in one parallel_for chunk (the kernels inside a
   // partition then run inline on that chunk's thread). Every kernel is
-  // per-sample independent (pinned by the padded-vs-unpadded and
+  // per-sample independent (pinned by the full-batch-vs-single-sample and
   // partitioned-vs-not bitwise tests), so forwarding rows [r0, r1) alone
   // and concatenating in row order is bit-identical to one whole-batch
   // forward.
-  const int64_t parts = row_partitions(in_shape, padded);
+  const int64_t parts = row_partitions(in_shape, bsz);
   Tensor fwd_out = [&] {
     SAUFNO_TRACE_SPAN("engine.forward");
     const auto t0 = std::chrono::steady_clock::now();
@@ -541,7 +519,7 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
     if (parts <= 1) {
       v = plan_->forward(stacked);
     } else {
-      const int64_t rows = padded / parts;  // parts divides padded
+      const int64_t rows = bsz / parts;  // parts divides bsz
       std::vector<Tensor> outs(static_cast<std::size_t>(parts));
       parallel_for(0, parts, 1, [&](int64_t p0, int64_t p1) {
         for (int64_t pi = p0; pi < p1; ++pi) {
@@ -556,7 +534,7 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
                    "partitioned forward returned unexpected shape " +
                        shape_str(ps));
       const int64_t part_numel = numel_of(ps);
-      v = Tensor({padded, ps[1], ps[2], ps[3]});
+      v = Tensor({bsz, ps[1], ps[2], ps[3]});
       for (int64_t pi = 0; pi < parts; ++pi) {
         const Tensor& o = outs[static_cast<std::size_t>(pi)];
         SAUFNO_CHECK(o.shape() == ps,
@@ -571,8 +549,8 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
             .count());
     return v;
   }();
-  const Shape& os = fwd_out.shape();  // [padded, C_out, H, W]
-  SAUFNO_CHECK(os.size() == 4 && os[0] == padded,
+  const Shape& os = fwd_out.shape();  // [bsz, C_out, H, W]
+  SAUFNO_CHECK(os.size() == 4 && os[0] == bsz,
                "model returned unexpected shape " + shape_str(os));
   const int64_t out_sample = os[1] * os[2] * os[3];
 
@@ -582,38 +560,36 @@ void InferenceEngine::forward_and_deliver(std::vector<InferenceRequest>& batch,
   // a plan bug must not fail requests the interpreter can serve — then
   // fail only the still-poisoned rows, never the engine.
   std::vector<char> dead(static_cast<std::size_t>(bsz), 0);
-  if (cfg_.output_guard) {
-    auto scan = [&](const Tensor& t) {
-      std::vector<int64_t> bad;
-      for (int64_t i = 0; i < bsz; ++i) {
-        if (find_nonfinite(t.data() + i * out_sample, out_sample) >= 0) {
-          bad.push_back(i);
-        }
+  auto scan = [&](const Tensor& t) {
+    std::vector<int64_t> bad;
+    for (int64_t i = 0; i < bsz; ++i) {
+      if (find_nonfinite(t.data() + i * out_sample, out_sample) >= 0) {
+        bad.push_back(i);
       }
-      return bad;
-    };
-    std::vector<int64_t> bad = scan(fwd_out);
-    if (!bad.empty() && plan_->mode() == plan::Mode::kOn) {
-      engine_metrics().plan_degraded.add();
-      SAUFNO_WARN << "engine: non-finite output in " << bad.size() << "/"
-                  << bsz << " rows from the plan path; retrying this batch "
-                  << "through the interpreter";
-      Tensor retry = plan_->forward_interpreted(stacked);
-      SAUFNO_CHECK(retry.shape() == os,
-                   "interpreter retry returned a different shape " +
-                       shape_str(retry.shape()));
-      fwd_out = std::move(retry);
-      bad = scan(fwd_out);
     }
-    for (const int64_t i : bad) {
-      engine_metrics().nonfinite_outputs.add();
-      dead[static_cast<std::size_t>(i)] = 1;
-      complete_error(batch[lo + static_cast<std::size_t>(i)],
-                     std::make_exception_ptr(RequestError(
-                         "non-finite value in model output [" +
-                         request_desc(batch[lo + static_cast<std::size_t>(i)]) +
-                         "]")));
-    }
+    return bad;
+  };
+  std::vector<int64_t> bad = scan(fwd_out);
+  if (!bad.empty() && plan_->mode() == plan::Mode::kOn) {
+    engine_metrics().plan_degraded.add();
+    SAUFNO_WARN << "engine: non-finite output in " << bad.size() << "/"
+                << bsz << " rows from the plan path; retrying this batch "
+                << "through the interpreter";
+    Tensor retry = plan_->forward_interpreted(stacked);
+    SAUFNO_CHECK(retry.shape() == os,
+                 "interpreter retry returned a different shape " +
+                     shape_str(retry.shape()));
+    fwd_out = std::move(retry);
+    bad = scan(fwd_out);
+  }
+  for (const int64_t i : bad) {
+    engine_metrics().nonfinite_outputs.add();
+    dead[static_cast<std::size_t>(i)] = 1;
+    complete_error(batch[lo + static_cast<std::size_t>(i)],
+                   std::make_exception_ptr(RequestError(
+                       "non-finite value in model output [" +
+                       request_desc(batch[lo + static_cast<std::size_t>(i)]) +
+                       "]")));
   }
 
   Tensor decoded;

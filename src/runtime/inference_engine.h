@@ -65,11 +65,7 @@ struct InferenceStats {
 ///   `max_wait_us` after the first request of a batch ARRIVES (the deadline
 ///   is anchored to enqueue time). The queue is sharded by shape, so
 ///   interleaved multi-resolution traffic still coalesces per shape instead
-///   of collapsing to batch size 1. With `pad_to_full_batch` the batch
-///   dimension is zero-padded to `max_batch` so every forward sees one
-///   shape (useful when a backend JITs per shape; padding rows cost compute
-///   but never change real rows' results, since every kernel in this
-///   library is per-sample independent).
+///   of collapsing to batch size 1.
 /// - Every forward runs under NoGradGuard: no autograd tape is recorded.
 /// - Results are bit-identical to calling the same encode/forward/decode
 ///   one sample at a time, whatever the batch composition or
@@ -98,7 +94,6 @@ class InferenceEngine {
   struct Config {
     int64_t max_batch = 8;
     int64_t max_wait_us = 2000;
-    bool pad_to_full_batch = false;
     /// Exact input channel count the model expects ([C, H, W] submissions
     /// are rejected up front with both numbers in the message instead of
     /// dying inside model_->forward with an opaque shape error). 0 means
@@ -107,27 +102,20 @@ class InferenceEngine {
     /// this in from their channel arguments / the checkpoint meta.
     int64_t expected_in_channels = 0;
     /// Execution-plan policy for the forward: a plan::Mode value (0 = off /
-    /// interpret, 1 = on, 2 = compile-only), or -1 to read the SAUFNO_PLAN
-    /// environment knob (the default). Plan-mode forwards are bit-identical
-    /// to interpreted ones; any shape the tracer cannot plan falls back to
-    /// the interpreter automatically.
+    /// interpret, 1 = on), or -1 to read the SAUFNO_PLAN environment knob
+    /// (the default). Plan-mode forwards are bit-identical to interpreted
+    /// ones; any shape the tracer cannot plan falls back to the interpreter
+    /// automatically.
     int plan_mode = -1;
     /// Admission control: max queued requests across all shards (0 =
-    /// unbounded) and per shape shard (0 = same as queue_capacity). The
-    /// default bounds the backlog at 1024 requests — deep enough that no
-    /// well-behaved workload notices, shallow enough that overload sheds
-    /// with OverloadedError instead of growing the queue without limit.
-    /// SAUFNO_QUEUE_CAP overrides the default when the config leaves it.
+    /// unbounded). The default bounds the backlog at 1024 requests — deep
+    /// enough that no well-behaved workload notices, shallow enough that
+    /// overload sheds with OverloadedError instead of growing the queue
+    /// without limit. SAUFNO_QUEUE_CAP overrides the default when the
+    /// config leaves it.
     int64_t queue_capacity = -1;  // -1 = SAUFNO_QUEUE_CAP or 1024
-    int64_t shard_capacity = 0;
     /// Reject non-finite (NaN/Inf) inputs at submit() with RequestError.
     bool validate_finite = true;
-    /// On a batch forward exception, re-run in bisection so only the
-    /// culpable request(s) get the exception and batch-mates still succeed.
-    bool isolate_faults = true;
-    /// Scan outputs for NaN/Inf; on a hit, degrade plan→interpreter once,
-    /// then fail only the affected request(s) — never the engine.
-    bool output_guard = true;
     /// Fail pending futures when the batcher makes no progress on one batch
     /// for this long (a stuck forward must not hang clients forever).
     /// 0 disables the watchdog. The default (10 s) is far beyond any

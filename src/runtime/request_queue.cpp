@@ -36,10 +36,9 @@ std::string request_desc(const InferenceRequest& req) {
          shape_str(req.input.shape());
 }
 
-void RequestQueue::set_capacity(std::size_t total, std::size_t per_shard) {
+void RequestQueue::set_capacity(std::size_t total) {
   std::lock_guard<std::mutex> lk(m_);
   cap_total_ = total;
-  cap_shard_ = per_shard;
 }
 
 RequestQueue::PushResult RequestQueue::push(InferenceRequest req) {
@@ -57,18 +56,7 @@ RequestQueue::PushResult RequestQueue::push(InferenceRequest req) {
       queue_metrics().rejected.add();
       return res;
     }
-    std::deque<InferenceRequest>& shard = shards_[req.input.shape()];
-    const std::size_t shard_cap = cap_shard_ > 0 ? cap_shard_ : cap_total_;
-    if (shard_cap > 0 && shard.size() >= shard_cap) {
-      // Creating the shard entry above is harmless: an empty shard left
-      // behind would break pop_batch's "every map entry is non-empty"
-      // invariant, so erase it again if this push created it.
-      if (shard.empty()) shards_.erase(req.input.shape());
-      res.status = PushStatus::kShardFull;
-      queue_metrics().rejected.add();
-      return res;
-    }
-    shard.push_back(std::move(req));
+    shards_[req.input.shape()].push_back(std::move(req));
     ++pending_;
     res.depth = pending_;
     queue_metrics().pushed.add();

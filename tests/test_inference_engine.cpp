@@ -96,18 +96,23 @@ TEST(InferenceEngine, ConcurrentSubmittersGetSequentialResults) {
   }
 }
 
-TEST(InferenceEngine, PaddedBatchesDoNotChangeRealRows) {
+// A batch that waits this long for stragglers ships only when it is full, so
+// submitting max_batch same-shape requests makes exactly one full batch.
+constexpr int64_t kFullBatchWaitUs = 60'000'000;
+
+TEST(InferenceEngine, FullBatchMatchesSequentialForward) {
+  // The batch's other rows never change a row's result: every kernel in
+  // this library is per-sample independent.
   auto model = smoke_model();
-  const auto maps = random_maps(3, 12, 9);
+  const auto maps = random_maps(8, 12, 9);
   std::vector<Tensor> expected;
   for (const auto& m : maps) {
     Var out = model->forward(Var(m.reshape({1, 3, 12, 12}).clone()));
     expected.push_back(out.value().reshape({1, 12, 12}).clone());
   }
   InferenceEngine::Config cfg;
-  cfg.max_batch = 8;  // > number of requests: every batch gets zero-padded
-  cfg.max_wait_us = 20000;
-  cfg.pad_to_full_batch = true;
+  cfg.max_batch = 8;
+  cfg.max_wait_us = kFullBatchWaitUs;
   InferenceEngine engine(model, cfg);
   std::vector<std::future<Tensor>> futs;
   for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
@@ -151,22 +156,20 @@ TEST(InferenceEngine, FromZooFillsExpectedChannels) {
                std::runtime_error);
 }
 
-TEST(InferenceEngine, PaddedBatchBitIdenticalToUnpaddedWithNormalizer) {
-  // Padding rows are zeros at submit time but encode_inputs maps them to
-  // whatever the encoder sends 0 to — they do NOT stay zero in general.
-  // Real rows must still be bit-identical to an unpadded engine because
-  // every kernel is per-sample independent; this pins that invariant down
-  // through the full encode -> forward -> decode path.
+TEST(InferenceEngine, FullBatchBitIdenticalToSingleSampleWithNormalizer) {
+  // Every row of a full batch must be bit-identical to serving that sample
+  // alone, through the full encode -> forward -> decode path: the encoder
+  // and decoder are per-element maps and every kernel is per-sample
+  // independent.
   auto model = smoke_model();
   const auto norm =
       data::Normalizer::from_stats(298.15, 2.0, 10.0, /*n_power=*/1);
-  const auto maps = random_maps(3, 12, 77);
+  const auto maps = random_maps(8, 12, 77);
 
-  auto serve = [&](bool pad) {
+  auto serve = [&](int64_t max_batch) {
     InferenceEngine::Config cfg;
-    cfg.max_batch = 8;  // > request count: the padded engine always pads
-    cfg.max_wait_us = 50000;
-    cfg.pad_to_full_batch = pad;
+    cfg.max_batch = max_batch;
+    cfg.max_wait_us = kFullBatchWaitUs;
     InferenceEngine engine(model, norm, cfg);
     std::vector<std::future<Tensor>> futs;
     for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
@@ -174,15 +177,15 @@ TEST(InferenceEngine, PaddedBatchBitIdenticalToUnpaddedWithNormalizer) {
     for (auto& f : futs) out.push_back(f.get());
     return out;
   };
-  const auto unpadded = serve(false);
-  const auto padded = serve(true);
+  const auto single = serve(1);
+  const auto full = serve(8);
   for (std::size_t i = 0; i < maps.size(); ++i) {
-    ASSERT_EQ(padded[i].shape(), unpadded[i].shape());
-    EXPECT_EQ(std::memcmp(padded[i].data(), unpadded[i].data(),
+    ASSERT_EQ(full[i].shape(), single[i].shape());
+    EXPECT_EQ(std::memcmp(full[i].data(), single[i].data(),
                           sizeof(float) *
-                              static_cast<std::size_t>(padded[i].numel())),
+                              static_cast<std::size_t>(full[i].numel())),
               0)
-        << "request " << i << ": padding perturbed a real row";
+        << "request " << i << ": its batch-mates perturbed its row";
   }
 }
 
@@ -191,8 +194,8 @@ TEST(InferenceEngine, PartitionedBatchBitIdenticalToWholeBatchForward) {
   // into contiguous row sub-forwards, one per lane, run concurrently; at 1
   // lane it runs whole. Per-sample independence (pinned above) makes both
   // bit-identical. Every engine is new, so each split run starts with
-  // concurrent first compiles of the partition shape on pool threads: none
-  // of them may fall back to the interpreter.
+  // concurrent first recordings of the partition shape on pool threads:
+  // none of them may fall back to the interpreter.
   auto model = smoke_model();
   const auto norm =
       data::Normalizer::from_stats(298.15, 2.0, 10.0, /*n_power=*/1);
@@ -206,8 +209,7 @@ TEST(InferenceEngine, PartitionedBatchBitIdenticalToWholeBatchForward) {
     ThreadPool::instance().resize(threads);
     InferenceEngine::Config cfg;
     cfg.max_batch = 8;
-    cfg.max_wait_us = 50000;
-    cfg.pad_to_full_batch = true;  // stable batch of 8 -> stable partitions
+    cfg.max_wait_us = kFullBatchWaitUs;  // one batch of 8: stable partitions
     cfg.plan_mode = 1;  // the partition plans are what this test inspects
     std::vector<Tensor> out;
     {

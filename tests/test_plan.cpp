@@ -2,9 +2,9 @@
 // the define-by-run interpreter (memcmp, not allclose) — the plan path runs
 // the same kernels in the same order, so there is no tolerance to hide
 // behind. Covers every zoo model on pow2 and non-pow2 grids, the fusion /
-// folding compiler passes, the per-shape plan cache (including concurrent
-// first use), the interpreter fallback for untraceable models, and the
-// plan-arena Reservation plumbing.
+// folding compiler passes, the per-shape plan cache (a shape's first
+// forward is its recording; concurrent first use), the interpreter fallback
+// for untraceable models, and the plan-arena Reservation plumbing.
 
 #include <atomic>
 #include <cstring>
@@ -58,13 +58,17 @@ TEST(PlanVsInterp, AllZooModelsBitIdenticalOnPow2AndNonPow2) {
     for (const Shape& shape :
          {Shape{2, 3, 16, 16}, Shape{1, 3, 12, 20}}) {
       SCOPED_TRACE(shape_str(shape));
-      Tensor x = Tensor::randn(shape, rng);
-      Tensor want = interp.forward(x);
-      Tensor got = planned.forward(x);
+      // The plan is recorded from another input than the one it is checked
+      // on, so a value the recording froze into the plan cannot hide.
+      Tensor recorded = Tensor::randn(shape, rng);
+      expect_bitwise(planned.forward(recorded), interp.forward(recorded),
+                     name + " (recording)");
       // The plan must actually have compiled — a silent fallback would make
       // this test vacuous.
       ASSERT_NE(planned.executor_for(shape), nullptr);
-      expect_bitwise(got, want, name);
+      Tensor x = Tensor::randn(shape, rng);
+      Tensor want = interp.forward(x);
+      expect_bitwise(planned.forward(x), want, name);
       // Second run exercises the pooled BoundBuffer path.
       expect_bitwise(planned.forward(x), want, name + " (rerun)");
     }
@@ -153,19 +157,28 @@ TEST(PlanKernels, FusedAddActBitIdenticalToUnfusedChain) {
   expect_bitwise(out2, want2, "relu(a+bias)");
 }
 
-TEST(PlanRunner, CompileOnlyValidatesButInterprets) {
-  auto model = train::make_model("FNO", 3, 1, 9);
+TEST(PlanRunner, FirstForwardIsTheRecordingAndReturnsInterpreterBits) {
+  // A new shape costs one forward: the first forward records the
+  // interpreter on the request itself and returns that output, and only
+  // later forwards run the plan.
+  auto model = train::make_model("SAU-FNO-micro", 3, 1, 9);
   model->set_training(false);
-  plan::PlanRunner canary(model, plan::Mode::kCompileOnly);
+  plan::PlanRunner runner(model, plan::Mode::kOn);
   plan::PlanRunner interp(model, plan::Mode::kOff);
-  const Shape shape{1, 3, 16, 16};
+  obs::Counter& runs = obs::counter("plan.runs");
+  const Shape shape{2, 3, 16, 16};
   Rng rng = testing::test_rng();
   Tensor x = Tensor::randn(shape, rng);
-  expect_bitwise(canary.forward(x), interp.forward(x), "compile-only");
-  // compile-only still compiles (that is its job)...
-  EXPECT_EQ(canary.cache_size(), 1u);
-  EXPECT_NE(canary.executor_for(shape), nullptr);
-  // ...while off never touches the tracer.
+  Tensor y = Tensor::randn(shape, rng);
+
+  const int64_t before = runs.value();
+  expect_bitwise(runner.forward(x), interp.forward(x), "first forward");
+  EXPECT_EQ(runs.value(), before) << "the first forward ran a plan";
+  EXPECT_NE(runner.executor_for(shape), nullptr);
+
+  expect_bitwise(runner.forward(y), interp.forward(y), "second forward");
+  EXPECT_EQ(runs.value(), before + 1);
+  // Off never touches the tracer.
   EXPECT_EQ(interp.cache_size(), 0u);
 }
 
@@ -182,8 +195,8 @@ TEST(PlanRunner, CachesOnePlanPerShape) {
 }
 
 // Mirrors TEST(PlanCache, ConcurrentFirstUseIsCorrectAndCached) in
-// test_fft.cpp: racing first-users may compile twice, but exactly one plan
-// is published and every thread's result is bit-identical.
+// test_fft.cpp: racing first-users may each record and compile, but exactly
+// one plan is published and every thread's result is bit-identical.
 TEST(PlanCache, ConcurrentFirstUseIsCorrectAndCached) {
   auto model = train::make_model("SAU-FNO-micro", 3, 1, 11);
   model->set_training(false);
@@ -211,6 +224,7 @@ TEST(PlanCache, ConcurrentFirstUseIsCorrectAndCached) {
     expect_bitwise(results[static_cast<std::size_t>(t)], want,
                    "thread " + std::to_string(t));
   }
+  expect_bitwise(runner.forward(x), want, "published plan");
 }
 
 TEST(PlanRunner, UnsupportedOpFallsBackToInterpreter) {
@@ -232,10 +246,10 @@ TEST(PlanRunner, UnsupportedOpFallsBackToInterpreter) {
   EXPECT_EQ(runner.executor_for(shape), nullptr);
 }
 
-TEST(PlanRunner, CompileExceptionIsNotCachedAndRecompiles) {
-  // A compile that throws says nothing about the shape (here the model's
-  // first forward fails once). The runner counts a fallback, interprets,
-  // and leaves the shape uncached, so the next forward compiles it.
+TEST(PlanRunner, ThrowingModelForwardPropagatesAndIsNotCached) {
+  // The first forward of a shape is the request's own forward, so a model
+  // that throws fails it exactly as the interpreter would: no fallback is
+  // counted and nothing is cached, and the next forward records the shape.
   auto calls = std::make_shared<int>(0);
   auto model = std::make_shared<nn::Lambda>([calls](const Var& x) {
     if ((*calls)++ == 0) throw std::runtime_error("first forward fails");
@@ -248,13 +262,36 @@ TEST(PlanRunner, CompileExceptionIsNotCachedAndRecompiles) {
   Rng rng = testing::test_rng();
   Tensor x = Tensor::randn(shape, rng);
 
-  expect_bitwise(runner.forward(x), relu(x), "first forward");
-  EXPECT_EQ(fallbacks.value() - before, 1);
+  EXPECT_THROW(runner.forward(x), std::runtime_error);
+  EXPECT_EQ(fallbacks.value(), before);
   EXPECT_EQ(runner.cache_size(), 0u);
 
   expect_bitwise(runner.forward(x), relu(x), "second forward");
   EXPECT_NE(runner.executor_for(shape), nullptr);
+  EXPECT_EQ(fallbacks.value(), before);
+}
+
+TEST(PlanRunner, CompileThrowServesTheRecordedOutputUncached) {
+  // The model returns a leaf that no recorded op produced, so take_plan
+  // throws after a good forward. The runner serves that forward's output,
+  // counts one fallback per attempt and leaves the shape uncached.
+  auto model = std::make_shared<nn::Lambda>(
+      [](const Var& x) { return Var(relu(x.value())); });
+  plan::PlanRunner runner(model, plan::Mode::kOn);
+  obs::Counter& fallbacks = obs::counter("plan.fallbacks");
+  const int64_t before = fallbacks.value();
+  const Shape shape{2, 3, 4, 4};
+  Rng rng = testing::test_rng();
+  Tensor x = Tensor::randn(shape, rng);
+
+  expect_bitwise(runner.forward(x), relu(x), "first forward");
   EXPECT_EQ(fallbacks.value() - before, 1);
+  EXPECT_EQ(runner.cache_size(), 0u);
+  EXPECT_EQ(runner.executor_for(shape), nullptr);
+
+  expect_bitwise(runner.forward(x), relu(x), "second forward");
+  EXPECT_EQ(fallbacks.value() - before, 2);
+  EXPECT_EQ(runner.cache_size(), 0u);
 }
 
 TEST(TraceSession, SecondSessionOnOneThreadThrows) {

@@ -216,7 +216,7 @@ TEST(RequestQueue, BatchDeadlineAnchorsToEnqueueTime) {
 
 TEST(RequestQueue, TotalCapacityRejectsThenRecovers) {
   runtime::RequestQueue q;
-  q.set_capacity(/*total=*/3, /*per_shard=*/0);
+  q.set_capacity(/*total=*/3);
   const Shape a{3, 10, 10};
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.push(make_request(a)).ok());
   auto rejected = q.push(make_request(a));
@@ -230,26 +230,6 @@ TEST(RequestQueue, TotalCapacityRejectsThenRecovers) {
   for (auto& r : batch) r.result->try_value(Tensor::zeros({1}));
   EXPECT_TRUE(q.push(make_request(a)).ok());
   q.pop_batch(1, 0).front().result->try_value(Tensor::zeros({1}));
-}
-
-TEST(RequestQueue, PerShardCapacityIsolatesHotResolution) {
-  runtime::RequestQueue q;
-  q.set_capacity(/*total=*/100, /*per_shard=*/2);
-  const Shape hot{3, 10, 10}, cold{3, 14, 14};
-  ASSERT_TRUE(q.push(make_request(hot)).ok());
-  ASSERT_TRUE(q.push(make_request(hot)).ok());
-  auto full = q.push(make_request(hot));
-  EXPECT_EQ(full.status, runtime::RequestQueue::PushStatus::kShardFull);
-  // The hot shard being full must not block other resolutions.
-  EXPECT_TRUE(q.push(make_request(cold)).ok());
-  EXPECT_EQ(q.shard_count(), 2u);
-  std::size_t drained = 0;
-  while (q.size() > 0) {
-    auto batch = q.pop_batch(8, 0);
-    drained += batch.size();
-    for (auto& r : batch) r.result->try_value(Tensor::zeros({1}));
-  }
-  EXPECT_EQ(drained, 3u);
 }
 
 TEST(RequestQueue, ReapsExpiredAndCancelledHeadsAtDequeue) {
