@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "common/logging.h"
+#include "plan/trace.h"
 
 namespace saufno {
 namespace baselines {
@@ -62,7 +63,7 @@ Var DeepOHeat::forward(const Var& x) {
   b_feat = ops::reshape(b_feat, {B * cfg_.out_channels, cfg_.p});
 
   // Trunk: per-pixel coordinate features, shared across the batch.
-  Var coords(make_coords(H, W));          // [N, 2], constant
+  Var coords = plan::tr::constant(make_coords(H, W));  // [N, 2]
   Var t_feat = trunk_->forward(coords);   // [N, p]
 
   // Inner product: [B*out_ch, p] x [p, N] -> [B*out_ch, N].

@@ -1,6 +1,7 @@
 #include "plan/trace.h"
 
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/logging.h"
 
@@ -59,6 +60,13 @@ class TraceSessionImpl {
   void push_scope(std::string s) { scopes_.push_back(std::move(s)); }
   void pop_scope() { scopes_.pop_back(); }
 
+  /// Keep a shape-only constant leaf (see tr::constant) as a kConst slot
+  /// when an op reads it.
+  void add_constant(const Var& v) {
+    constants_.insert(v.impl().get());
+    keepalive_.push_back(v);
+  }
+
   Plan take_plan(const Var& output) {
     SAUFNO_CHECK(ok(), "take_plan on a failed trace: " + error_);
     auto it = slot_of_.find(output.impl().get());
@@ -79,30 +87,31 @@ class TraceSessionImpl {
     return static_cast<int32_t>(plan_.slots.size() - 1);
   }
 
-  /// Slot for an op input: previously recorded output, a parameter, or a
-  /// captured leaf constant. A leaf with a producer node means the value
-  /// came from an op the tracer did not hook — poison the trace rather
-  /// than freeze a data-dependent value into the plan.
+  /// Slot for an op input: a previously recorded output, a parameter, or a
+  /// registered shape-only constant. Any other leaf may carry a value the
+  /// model computed from the request outside the ops:: hooks (under
+  /// NoGradGuard no op leaves a node to tell), so it poisons the trace
+  /// rather than freezing one request's data into the plan.
   int32_t slot_for_input(const Var& v) {
     detail::VarImpl* key = v.impl().get();
     auto it = slot_of_.find(key);
     if (it != slot_of_.end()) return it->second;
     int32_t id;
-    auto pit = param_name_.find(key);
-    if (pit != param_name_.end()) {
+    if (param_name_.count(key) != 0) {
       // Shares the parameter's storage: the plan sees in-place weight
       // updates, and checkpoint loads that rebuild tensors invalidate the
       // cache at the engine layer (plans are compiled after loading).
       id = add_slot(SlotKind::kParam, v.shape(), v.value());
-    } else {
-      if (v.impl()->node != nullptr) {
-        fail("input produced by an untraced op (" + v.impl()->node->name +
-             ")");
-      }
-      // Shape-only leaves (coordinate grids etc.): cloned so the plan owns
-      // heap storage whatever the leaf was backed by. Sound to bake in
-      // because plans are keyed by the full input shape.
+    } else if (constants_.count(key) != 0) {
+      // Cloned so the plan owns heap storage whatever the leaf was backed
+      // by. Sound to bake in because plans are keyed by the full input
+      // shape.
       id = add_slot(SlotKind::kConst, v.shape(), v.value().clone());
+    } else {
+      fail("op input " + shape_str(v.shape()) +
+           " is an untraced leaf: not the input, a parameter, an op output "
+           "or a tr::constant");
+      return -1;
     }
     slot_of_[key] = id;
     keepalive_.push_back(v);
@@ -138,6 +147,7 @@ class TraceSessionImpl {
   Plan plan_;
   std::unordered_map<const detail::VarImpl*, int32_t> slot_of_;
   std::unordered_map<const detail::VarImpl*, std::string> param_name_;
+  std::unordered_set<const detail::VarImpl*> constants_;
   std::vector<Var> keepalive_;
   std::vector<std::string> scopes_;
   bool failed_ = false;
@@ -202,6 +212,14 @@ void record_cat(const std::vector<Var>& ins, const Var& out, int64_t dim) {
   if (detail_trace::g_active != nullptr) {
     detail_trace::g_active->record_cat(ins, out, dim);
   }
+}
+
+Var constant(Tensor value) {
+  Var v(std::move(value));
+  if (detail_trace::g_active != nullptr) {
+    detail_trace::g_active->add_constant(v);
+  }
+  return v;
 }
 
 void record_unsupported(const char* what) {

@@ -33,12 +33,13 @@ inline bool tracing() { return detail_trace::g_active != nullptr; }
 /// Scope: recording is thread-local and covers exactly the ops:: calls made
 /// on the constructing thread between construction and destruction (model
 /// kernels parallelize BELOW the ops:: layer, so worker threads never hit
-/// the hooks). Input Vars whose impl the session has not seen are captured:
-/// module parameters (matched against `named_params`) become kParam slots
-/// sharing the parameter storage; other leaves (shape-derived coordinate
-/// grids and the like) are cloned into kConst slots. A leaf that was
-/// produced by an op the tracer does not support poisons the session
-/// (ok() == false) instead of silently mistracing.
+/// the hooks). Op inputs the session has not seen as op outputs are
+/// captured: module parameters (matched against `named_params`) become
+/// kParam slots sharing the parameter storage, and shape-only leaves made
+/// with tr::constant (coordinate grids and the like) are cloned into kConst
+/// slots. Any other leaf, such as a value computed from the input outside
+/// the ops:: hooks, poisons the session (ok() == false) instead of being
+/// frozen into the plan.
 class TraceSession {
  public:
   TraceSession(const std::vector<std::pair<std::string, Var>>& named_params,
@@ -88,6 +89,12 @@ struct Attrs {
 void record_op(OpCode op, std::initializer_list<const Var*> ins,
                const Var& out, Attrs attrs);
 void record_cat(const std::vector<Var>& ins, const Var& out, int64_t dim);
+/// A leaf Var whose value depends only on shapes, never on the request
+/// (a coordinate grid): the active session, if any, may capture it into
+/// the plan as a constant. Model code must build such leaves with this;
+/// any other leaf an op reads poisons the trace.
+Var constant(Tensor value);
+
 /// Poison the active session: the forward used `what`, which the plan IR
 /// cannot represent. The runner falls back to the interpreter.
 void record_unsupported(const char* what);

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include "data/normalizer.h"
+#include "obs/metrics.h"
+#include "plan/runner.h"
 #include "runtime/inference_engine.h"
 #include "testing.h"
 #include "train/model_zoo.h"
@@ -141,9 +143,11 @@ TEST(Golden, InferenceEngineServesFixtureKelvin) {
   // The serving path on the same artifact: raw power maps in, kelvin out,
   // within the golden tolerance of the stored predictions (and therefore
   // bit-identical to Trainer::predict, which PR 2's equivalence test pins).
+  // The batch is served twice on one engine: a shape's first forward is
+  // the interpreted recording, so only the second round runs the plan.
   runtime::InferenceEngine::Config cfg;
-  cfg.max_batch = 2;
-  cfg.max_wait_us = 50000;
+  cfg.max_batch = kBatch;
+  cfg.max_wait_us = 60'000'000;  // each round ships as one full batch
   auto engine =
       runtime::InferenceEngine::from_checkpoint(fixture("golden.ckpt"), cfg);
   ASSERT_TRUE(engine->has_normalizer());
@@ -151,21 +155,30 @@ TEST(Golden, InferenceEngineServesFixtureKelvin) {
   const Tensor want = testing::read_tensor_file(fixture("golden_output.bin"));
   const int64_t sample = 3 * kRes * kRes;
   const int64_t out_sample = kRes * kRes;
-  std::vector<std::future<Tensor>> futs;
-  for (int64_t i = 0; i < kBatch; ++i) {
-    Tensor one({3, kRes, kRes});
-    std::memcpy(one.data(), input.data() + i * sample,
-                sizeof(float) * static_cast<std::size_t>(sample));
-    futs.push_back(engine->submit(std::move(one)));
-  }
-  for (int64_t i = 0; i < kBatch; ++i) {
-    const Tensor got = futs[static_cast<std::size_t>(i)].get();
-    ASSERT_EQ(got.shape(), (Shape{1, kRes, kRes}));
-    Tensor expect({1, kRes, kRes});
-    std::memcpy(expect.data(), want.data() + i * out_sample,
-                sizeof(float) * static_cast<std::size_t>(out_sample));
-    testing::expect_allclose(got, expect, kRtol, kAtol,
-                             "engine kelvin sample " + std::to_string(i));
+  obs::Counter& plan_runs = obs::counter("plan.runs");
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const int64_t runs_before = plan_runs.value();
+    std::vector<std::future<Tensor>> futs;
+    for (int64_t i = 0; i < kBatch; ++i) {
+      Tensor one({3, kRes, kRes});
+      std::memcpy(one.data(), input.data() + i * sample,
+                  sizeof(float) * static_cast<std::size_t>(sample));
+      futs.push_back(engine->submit(std::move(one)));
+    }
+    for (int64_t i = 0; i < kBatch; ++i) {
+      const Tensor got = futs[static_cast<std::size_t>(i)].get();
+      ASSERT_EQ(got.shape(), (Shape{1, kRes, kRes}));
+      Tensor expect({1, kRes, kRes});
+      std::memcpy(expect.data(), want.data() + i * out_sample,
+                  sizeof(float) * static_cast<std::size_t>(out_sample));
+      testing::expect_allclose(got, expect, kRtol, kAtol,
+                               "engine kelvin sample " + std::to_string(i));
+    }
+    if (round == 1 && engine->plan_runner().mode() == plan::Mode::kOn) {
+      EXPECT_EQ(plan_runs.value() - runs_before, 1)
+          << "the second round did not run the compiled plan";
+    }
   }
 }
 

@@ -100,6 +100,18 @@ TEST(InferenceEngine, ConcurrentSubmittersGetSequentialResults) {
 // submitting max_batch same-shape requests makes exactly one full batch.
 constexpr int64_t kFullBatchWaitUs = 60'000'000;
 
+// Submits every map and waits for all results. A shape's first forward is
+// the interpreted recording of its plan, so serving the same full batch a
+// second time on one engine is what runs the compiled plan.
+std::vector<Tensor> serve_all(InferenceEngine& engine,
+                              const std::vector<Tensor>& maps) {
+  std::vector<std::future<Tensor>> futs;
+  for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
+  std::vector<Tensor> out;
+  for (auto& f : futs) out.push_back(f.get());
+  return out;
+}
+
 TEST(InferenceEngine, FullBatchMatchesSequentialForward) {
   // The batch's other rows never change a row's result: every kernel in
   // this library is per-sample independent.
@@ -114,14 +126,15 @@ TEST(InferenceEngine, FullBatchMatchesSequentialForward) {
   cfg.max_batch = 8;
   cfg.max_wait_us = kFullBatchWaitUs;
   InferenceEngine engine(model, cfg);
-  std::vector<std::future<Tensor>> futs;
-  for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    const Tensor got = futs[i].get();
-    EXPECT_EQ(std::memcmp(got.data(), expected[i].data(),
-                          sizeof(float) *
-                              static_cast<std::size_t>(got.numel())),
-              0);
+  for (int round = 0; round < 2; ++round) {  // the recording, then the plan
+    const auto got = serve_all(engine, maps);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(std::memcmp(got[i].data(), expected[i].data(),
+                            sizeof(float) *
+                                static_cast<std::size_t>(got[i].numel())),
+                0)
+          << "round " << round << " request " << i;
+    }
   }
 }
 
@@ -166,26 +179,25 @@ TEST(InferenceEngine, FullBatchBitIdenticalToSingleSampleWithNormalizer) {
       data::Normalizer::from_stats(298.15, 2.0, 10.0, /*n_power=*/1);
   const auto maps = random_maps(8, 12, 77);
 
-  auto serve = [&](int64_t max_batch) {
+  auto engine_with = [&](int64_t max_batch) {
     InferenceEngine::Config cfg;
     cfg.max_batch = max_batch;
     cfg.max_wait_us = kFullBatchWaitUs;
-    InferenceEngine engine(model, norm, cfg);
-    std::vector<std::future<Tensor>> futs;
-    for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
-    std::vector<Tensor> out;
-    for (auto& f : futs) out.push_back(f.get());
-    return out;
+    return std::make_unique<InferenceEngine>(model, norm, cfg);
   };
-  const auto single = serve(1);
-  const auto full = serve(8);
-  for (std::size_t i = 0; i < maps.size(); ++i) {
-    ASSERT_EQ(full[i].shape(), single[i].shape());
-    EXPECT_EQ(std::memcmp(full[i].data(), single[i].data(),
-                          sizeof(float) *
-                              static_cast<std::size_t>(full[i].numel())),
-              0)
-        << "request " << i << ": its batch-mates perturbed its row";
+  const auto single = serve_all(*engine_with(1), maps);
+  auto full_engine = engine_with(8);
+  for (int round = 0; round < 2; ++round) {  // the recording, then the plan
+    const auto full = serve_all(*full_engine, maps);
+    for (std::size_t i = 0; i < maps.size(); ++i) {
+      ASSERT_EQ(full[i].shape(), single[i].shape());
+      EXPECT_EQ(std::memcmp(full[i].data(), single[i].data(),
+                            sizeof(float) *
+                                static_cast<std::size_t>(full[i].numel())),
+                0)
+          << "round " << round << " request " << i
+          << ": its batch-mates perturbed its row";
+    }
   }
 }
 
@@ -193,48 +205,61 @@ TEST(InferenceEngine, PartitionedBatchBitIdenticalToWholeBatchForward) {
   // A batch of small maps (12x12 is under the split threshold) is split
   // into contiguous row sub-forwards, one per lane, run concurrently; at 1
   // lane it runs whole. Per-sample independence (pinned above) makes both
-  // bit-identical. Every engine is new, so each split run starts with
-  // concurrent first recordings of the partition shape on pool threads:
-  // none of them may fall back to the interpreter.
+  // bit-identical. Every engine is new and serves the same full batch
+  // twice: the first round records each partition shape concurrently on
+  // pool threads (none may fall back to the interpreter), and the second
+  // runs one compiled plan per partition inside the parallel_for chunks.
   auto model = smoke_model();
   const auto norm =
       data::Normalizer::from_stats(298.15, 2.0, 10.0, /*n_power=*/1);
   const auto maps = random_maps(8, 12, 99);
   obs::Counter& fallbacks = obs::counter("plan.fallbacks");
+  obs::Counter& plan_runs = obs::counter("plan.runs");
   const int64_t fallbacks_before = fallbacks.value();
 
   // Rows per partition: the largest divisor of 8 that fits the lanes with
-  // at least 2 rows each.
+  // at least 2 rows each. Returns both rounds' results.
   auto serve = [&](int threads, int64_t rows) {
     ThreadPool::instance().resize(threads);
     InferenceEngine::Config cfg;
     cfg.max_batch = 8;
     cfg.max_wait_us = kFullBatchWaitUs;  // one batch of 8: stable partitions
     cfg.plan_mode = 1;  // the partition plans are what this test inspects
-    std::vector<Tensor> out;
+    std::vector<std::vector<Tensor>> rounds;
     {
       InferenceEngine engine(model, norm, cfg);
-      std::vector<std::future<Tensor>> futs;
-      for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
-      for (auto& f : futs) out.push_back(f.get());
+      rounds.push_back(serve_all(engine, maps));
       EXPECT_NE(engine.plan_runner().executor_for({rows, 3, 12, 12}), nullptr)
           << "no plan compiled for " << rows << "-row partitions at "
           << threads << " threads";
+      const int64_t runs_before = plan_runs.value();
+      rounds.push_back(serve_all(engine, maps));
+      EXPECT_EQ(plan_runs.value() - runs_before, 8 / rows)
+          << "the second round did not run one plan per partition at "
+          << threads << " threads";
     }
     ThreadPool::instance().resize(1);
-    return out;
+    return rounds;
   };
   const auto whole = serve(1, 8);
+  auto expect_rows_equal = [&](const std::vector<Tensor>& got,
+                               const std::string& what) {
+    for (std::size_t i = 0; i < maps.size(); ++i) {
+      ASSERT_EQ(got[i].shape(), whole[0][i].shape());
+      EXPECT_EQ(std::memcmp(got[i].data(), whole[0][i].data(),
+                            sizeof(float) *
+                                static_cast<std::size_t>(got[i].numel())),
+                0)
+          << "request " << i << " " << what;
+    }
+  };
+  expect_rows_equal(whole[1], "whole batch: the plan changed a row");
   for (const auto& [threads, rows] : {std::pair<int, int64_t>{2, 4}, {8, 2}}) {
     const auto split = serve(threads, rows);
-    for (std::size_t i = 0; i < maps.size(); ++i) {
-      ASSERT_EQ(split[i].shape(), whole[i].shape());
-      EXPECT_EQ(std::memcmp(split[i].data(), whole[i].data(),
-                            sizeof(float) *
-                                static_cast<std::size_t>(split[i].numel())),
-                0)
-          << "request " << i << " at " << threads
-          << " threads: partitioning changed a row";
+    for (std::size_t r = 0; r < split.size(); ++r) {
+      expect_rows_equal(split[r], "at " + std::to_string(threads) +
+                                      " threads, round " + std::to_string(r) +
+                                      ": partitioning changed a row");
     }
   }
   EXPECT_EQ(fallbacks.value(), fallbacks_before)
@@ -756,10 +781,9 @@ TEST(InferenceEngine, DeterministicAcrossThreadCounts) {
     cfg.max_batch = 4;
     cfg.max_wait_us = 20000;
     InferenceEngine engine(model, cfg);
-    std::vector<std::future<Tensor>> futs;
-    for (const auto& m : maps) futs.push_back(engine.submit(m.clone()));
-    std::vector<Tensor> out;
-    for (auto& f : futs) out.push_back(f.get());
+    // Twice: batches of a shape seen before run the plan it recorded.
+    std::vector<Tensor> out = serve_all(engine, maps);
+    for (Tensor& t : serve_all(engine, maps)) out.push_back(std::move(t));
     return out;
   };
   const auto ref = run(1);

@@ -246,6 +246,27 @@ TEST(PlanRunner, UnsupportedOpFallsBackToInterpreter) {
   EXPECT_EQ(runner.executor_for(shape), nullptr);
 }
 
+TEST(PlanRunner, UntracedLeafPoisonsTheTraceInsteadOfFreezingIt) {
+  // The model feeds an op a leaf it computed from the input outside the
+  // ops:: hooks. Under the runner's NoGradGuard that leaf has no producer
+  // node, yet freezing it would serve every later request of the shape a
+  // value computed from the first request's input: the trace must poison
+  // itself, and every forward must stay the interpreter's.
+  auto model = std::make_shared<nn::Lambda>([](const Var& x) {
+    return ops::add(x, Var(relu(x.value())));
+  });
+  plan::PlanRunner runner(model, plan::Mode::kOn);
+  plan::PlanRunner interp(model, plan::Mode::kOff);
+  const Shape shape{2, 3, 4, 4};
+  Rng rng = testing::test_rng();
+  Tensor x = Tensor::randn(shape, rng);
+  Tensor y = Tensor::randn(shape, rng);
+  expect_bitwise(runner.forward(x), interp.forward(x), "first forward");
+  EXPECT_EQ(runner.cache_size(), 1u);
+  EXPECT_EQ(runner.executor_for(shape), nullptr);
+  expect_bitwise(runner.forward(y), interp.forward(y), "second forward");
+}
+
 TEST(PlanRunner, ThrowingModelForwardPropagatesAndIsNotCached) {
   // The first forward of a shape is the request's own forward, so a model
   // that throws fails it exactly as the interpreter would: no fallback is
